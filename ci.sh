@@ -54,13 +54,16 @@ elif [ "$bench_rc" -ne 0 ]; then
   exit "$bench_rc"
 fi
 
-echo "==> ttsd smoke (serve fig7, byte-identical to repro, cold and cached, 1 and 4 threads)"
+echo "==> ttsd smoke (serve fig7, table1, fig1, fig10, table2, byte-identical to repro, cold and cached, 1 and 4 threads)"
 # The serving layer must answer exactly the bytes repro files as
-# results/fig7.summary.json — whether computed or cached, at any thread
+# results/<name>.summary.json — whether computed or cached, at any thread
 # count — then drain gracefully and flush its final metrics snapshot.
 TTSD=target/release/ttsd
 REPRO_ABS="$(pwd)/$REPRO"
-(cd "$TMPDIR_CI" && "$REPRO_ABS" fig7 --write > /dev/null)
+CHEAP_EXPERIMENTS="table1 fig1 fig10 table2"
+for NAME in fig7 $CHEAP_EXPERIMENTS; do
+  (cd "$TMPDIR_CI" && "$REPRO_ABS" "$NAME" --write > /dev/null)
+done
 for T in 1 4; do
   PORT_FILE="$TMPDIR_CI/ttsd.t$T.port"
   METRICS_FILE="$TMPDIR_CI/ttsd.t$T.metrics.json"
@@ -73,6 +76,10 @@ for T in 1 4; do
   "$TTSD" req "$ADDR" GET /healthz > /dev/null
   "$TTSD" req "$ADDR" POST /v1/experiments/fig7 --body '{}' > "$TMPDIR_CI/fig7.t$T.cold.body"
   "$TTSD" req "$ADDR" POST /v1/experiments/fig7 --body '{}' > "$TMPDIR_CI/fig7.t$T.cached.body"
+  for NAME in $CHEAP_EXPERIMENTS; do
+    "$TTSD" req "$ADDR" POST "/v1/experiments/$NAME" --body '{}' > "$TMPDIR_CI/$NAME.t$T.cold.body"
+    "$TTSD" req "$ADDR" POST "/v1/experiments/$NAME" --body '{}' > "$TMPDIR_CI/$NAME.t$T.cached.body"
+  done
   # The async job lifecycle over ONE keep-alive connection: submit
   # (fresh daemon, so the id is 1), then consume the chunked progress
   # stream until the job is terminal. The stored result must be the
@@ -88,6 +95,10 @@ for T in 1 4; do
   cmp "$TMPDIR_CI/results/fig7.summary.json" "$TMPDIR_CI/fig7.t$T.cold.body"
   cmp "$TMPDIR_CI/results/fig7.summary.json" "$TMPDIR_CI/fig7.t$T.cached.body"
   cmp "$TMPDIR_CI/results/fig7.summary.json" "$TMPDIR_CI/fig7.t$T.job.body"
+  for NAME in $CHEAP_EXPERIMENTS; do
+    cmp "$TMPDIR_CI/results/$NAME.summary.json" "$TMPDIR_CI/$NAME.t$T.cold.body"
+    cmp "$TMPDIR_CI/results/$NAME.summary.json" "$TMPDIR_CI/$NAME.t$T.cached.body"
+  done
 done
 
 echo "==> ttsd loadgen gate (keep-alive+pipelining vs serial close, zero errors, p99 bound)"

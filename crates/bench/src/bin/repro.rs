@@ -1,51 +1,31 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [table1|fig1|fig4|fig7|fig10|fig11|fig12|table2|tco|dcsim|fleet|schedule|design|scenarios|extensions|all]
-//!       [--write] [--threads N] [--metrics PATH] [--wall-unix SECS]
-//! repro fleet [--servers N] [--shards N] [--datacenters N] [--horizon-h H]
-//!             [--seed N] [--write] [--threads N]
-//! repro schedule [--seed N] [--servers N] [--horizon-h H] [--slot-min M]
-//!                [--tranches T] [--write] [--threads N]
-//! repro design [--seed N] [--servers N] [--budget N] [--generations N]
-//!              [--write] [--threads N]
-//! repro scenarios [--sites N] [--backends N] [--traces N] [--seed N]
-//!                 [--write] [--threads N]
+//! repro [<experiment>|all] [--<param> VALUE]... [--write] [--metrics PATH] [--wall-unix SECS]
 //! repro bench-check <report.json> <baseline.json> <max-regress-pct>
 //! repro chaos [--seeds N] [--seed 0xHEX] [--plan FILE] [--summary PATH]
 //!             [--no-storm] [--threads N]
 //! ```
 //!
-//! `fleet` runs the epoch-sharded fleet engine (default: 1,000,000
-//! servers across 4 datacenters for the two-day trace); the scale flags
-//! map onto the experiment's [`Params`] and the summary bytes are
-//! identical at any `--threads` or `--shards` value.
-//!
-//! `schedule` runs the receding-horizon PCM/job co-optimizer (`tts-opt`):
-//! an LP re-planned every slot decides what deferrable work to run, how
-//! hard to charge or discharge the wax, and what to draw from the grid
-//! under the time-of-use tariff, then reports cost against the passive
-//! run-on-arrival baseline over the same diurnal trace.
-//!
-//! `design` runs the `tts-design` surrogate-driven search on the paper's
-//! melting-point space with `--budget` simulator evaluations (default 7),
-//! cross-checks it against the exhaustive grid through a shared evaluation
-//! memo, then searches the joint class × melt × mass × tariff × ambient
-//! space. Deterministic and byte-identical at any thread count.
-//!
-//! `scenarios` sweeps the cooling backend × climate site × demand trace
-//! matrix: the paper's chiller, an airside economizer, and the hot-water
-//! loop with energy reuse, each billed over seeded weather years and the
-//! demand-variation traces. `--sites/--backends/--traces` select prefixes
-//! of the catalogues; `--seed` moves the weather.
-//!
-//! With `--write`, the harness also rewrites `EXPERIMENTS.md` (the
-//! paper-vs-measured record) and dumps raw results as JSON under
-//! `results/`.
+//! `<experiment>` is any name in the experiment registry
+//! (`thermal_time_shifting::experiment::registry`); `all`, the default,
+//! runs the registry in suite order, except `chaos`. Flags are the
+//! experiment's params in
+//! kebab-case (`melt_temp_c` is `--melt-temp-c`); see EXPERIMENTS.md §
+//! Experiment parameters. They pass through the same schema validation as
+//! `POST /v1/experiments/{name}`, so an unknown experiment, a flag the
+//! experiment does not take, or an out-of-range value is a usage error
+//! (exit 2). `all` takes only `--threads`, so the record it writes is
+//! always the default-sized suite.
 //!
 //! `--threads N` pins the `tts_exec` worker count for every sweep in the
 //! run (overriding `TTS_THREADS` and the machine default). Results are
 //! byte-identical at any thread count — see the determinism tests.
+//!
+//! With `--write`, each experiment files its JSON artifacts and the
+//! machine-readable summary `results/<name>.summary.json` (the bytes
+//! `ttsd` serves); `all --write` also rewrites `EXPERIMENTS.md`, the
+//! paper-vs-measured record.
 //!
 //! `--metrics PATH` collects observability data (counters, gauges,
 //! histograms, span timers — see `tts_obs`) across every experiment in the
@@ -61,111 +41,31 @@
 //! regressed by more than the given percentage — the CI gate that keeps
 //! the disabled-metrics hot paths at full speed.
 //!
-//! The per-figure rendering lives in the experiment implementations
-//! (`thermal_time_shifting::experiment`); this binary dispatches by name,
-//! prints what each [`Figure`] rendered, and files its artifacts.
+//! `chaos` is the fault-injection gate; its replay flags are not params.
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use thermal_time_shifting::chart::ascii_chart;
-use thermal_time_shifting::experiment::{self, ExecCtx, Figure, Params};
-use thermal_time_shifting::experiments::{self, Comparison};
+use thermal_time_shifting::experiment::{self, ExecCtx, Experiment, Params};
+use thermal_time_shifting::experiments::Comparison;
 use thermal_time_shifting::params;
 use tts_bench::{comparison_row, format_quantity, text_table};
-use tts_server::ServerClass;
-use tts_units::Fraction;
+use tts_units::json::{self, Json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench-check") {
-        std::process::exit(bench_check(&args[1..]));
+    match args.first().map(String::as_str) {
+        Some("bench-check") => std::process::exit(bench_check(&args[1..])),
+        Some("chaos") => std::process::exit(chaos(&args[1..])),
+        _ => {}
     }
-    if args.first().map(String::as_str) == Some("chaos") {
-        std::process::exit(chaos(&args[1..]));
-    }
-    let write = args.iter().any(|a| a == "--write");
-    // Value flags consume their argument, which must not be mistaken for
-    // the experiment selector below.
-    let mut value_indices: Vec<usize> = Vec::new();
-    let mut flag_value = |name: &str| -> Option<String> {
-        let at = args.iter().position(|a| a == name)?;
-        value_indices.push(at + 1);
-        args.get(at + 1).cloned()
-    };
-    if let Some(raw) = flag_value("--threads") {
-        let n = raw
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                eprintln!("--threads requires a positive integer");
-                std::process::exit(2);
-            });
+    let cli = Cli::parse(&args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
+    if let Some(n) = cli.params.threads {
         tts_exec::set_thread_override(Some(n));
     }
-    let metrics_path = flag_value("--metrics").inspect(|p| {
-        if p.is_empty() || p.starts_with("--") {
-            eprintln!("--metrics requires an output path");
-            std::process::exit(2);
-        }
-    });
-    let wall_unix = flag_value("--wall-unix").map(|raw| {
-        raw.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("--wall-unix requires a number (seconds since the epoch)");
-            std::process::exit(2);
-        })
-    });
-    // Scale/tuning flags shared by `fleet` and `schedule`, routed through
-    // the experiments' Params surface (each experiment's schema rejects
-    // flags it does not understand).
-    let mut cli_params = Params::default();
-    let mut scale_flag = |name: &'static str, f: &mut dyn FnMut(&mut Params, u64)| {
-        if let Some(raw) = flag_value(name) {
-            let n = raw
-                .parse::<u64>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    eprintln!("{name} requires a positive integer");
-                    std::process::exit(2);
-                });
-            f(&mut cli_params, n);
-        }
-    };
-    scale_flag("--servers", &mut |p, n| p.servers = Some(n as usize));
-    scale_flag("--shards", &mut |p, n| p.shards = Some(n as usize));
-    scale_flag("--datacenters", &mut |p, n| {
-        p.datacenters = Some(n as usize)
-    });
-    scale_flag("--seed", &mut |p, n| p.seed = Some(n));
-    scale_flag("--slot-min", &mut |p, n| p.slot_min = Some(n as usize));
-    scale_flag("--tranches", &mut |p, n| p.tranches = Some(n as usize));
-    scale_flag("--budget", &mut |p, n| p.budget = Some(n as usize));
-    scale_flag("--generations", &mut |p, n| {
-        p.generations = Some(n as usize)
-    });
-    scale_flag("--sites", &mut |p, n| p.sites = Some(n as usize));
-    scale_flag("--backends", &mut |p, n| p.backends = Some(n as usize));
-    scale_flag("--traces", &mut |p, n| p.traces = Some(n as usize));
-    if let Some(raw) = flag_value("--horizon-h") {
-        let h = raw
-            .parse::<f64>()
-            .ok()
-            .filter(|h| h.is_finite() && *h > 0.0)
-            .unwrap_or_else(|| {
-                eprintln!("--horizon-h requires a positive number of hours");
-                std::process::exit(2);
-            });
-        cli_params.horizon_h = Some(h);
-    }
-    let which = args
-        .iter()
-        .enumerate()
-        .find(|&(i, a)| !a.starts_with("--") && !value_indices.contains(&i))
-        .map(|(_, a)| a.as_str())
-        .unwrap_or("all");
-
-    let ctx = if metrics_path.is_some() {
+    let ctx = if cli.metrics.is_some() {
         ExecCtx::with_metrics()
     } else {
         ExecCtx::disabled()
@@ -177,9 +77,167 @@ fn main() {
     }
 
     let started = Instant::now();
-    let mut comparisons: Vec<(String, Comparison)> = Vec::new();
-    let mut md = String::new();
-    md.push_str(
+    let mut comparisons = Vec::new();
+    let mut sections = String::new();
+    for exp in &cli.experiments {
+        let fig = exp
+            .run_with(&ctx, &cli.params)
+            .expect("params were parsed against this experiment's schema");
+        println!("=== {} ===", fig.title);
+        println!("{}", fig.text);
+        if cli.write {
+            for (path, doc) in &fig.artifacts {
+                write_file(path, &doc.to_string_pretty());
+            }
+            write_file(
+                &format!("results/{}.summary.json", fig.name),
+                &exp.emit_json(&fig).to_string_pretty(),
+            );
+        }
+        sections.push_str(&fig.markdown);
+        comparisons.extend(fig.comparisons);
+    }
+
+    if !comparisons.is_empty() {
+        let rows: Vec<Vec<String>> = comparisons
+            .iter()
+            .map(|(label, c)| {
+                vec![
+                    label.clone(),
+                    c.metric.clone(),
+                    format_quantity(c.paper, &c.unit),
+                    format_quantity(c.measured, &c.unit),
+                    format!("{:+.0}%", c.relative_error() * 100.0),
+                ]
+            })
+            .collect();
+        let summary = text_table(
+            &["experiment", "metric", "paper", "measured", "deviation"],
+            &rows,
+        );
+        println!("\n=== paper vs. measured summary ===\n{summary}");
+    }
+    // Only the whole default-sized suite is a complete record.
+    if cli.write && cli.all {
+        let md = experiments_md(&sections, &comparisons, started);
+        write_file("EXPERIMENTS.md", &md);
+        println!("wrote EXPERIMENTS.md");
+    }
+    if let Some(path) = cli.metrics {
+        let sidecar = ctx.sidecar(None, cli.wall_unix).expect("metrics enabled");
+        let text = sidecar.to_string_pretty();
+        // Parse-back validation: the sidecar must round-trip through the
+        // in-repo JSON layer before it is worth writing.
+        let parsed = json::parse(&text).expect("metrics sidecar parses back");
+        assert_eq!(parsed, sidecar, "metrics sidecar round-trips losslessly");
+        write_file(&path, &text);
+        println!("wrote metrics sidecar to {path}");
+    }
+    eprintln!("done in {:.1} s", started.elapsed().as_secs_f64());
+}
+
+/// A parsed experiment invocation: what to run, with which params, and
+/// where the results go.
+struct Cli {
+    /// Whether this is the `all` suite run.
+    all: bool,
+    experiments: Vec<Box<dyn Experiment>>,
+    params: Params,
+    write: bool,
+    metrics: Option<String>,
+    wall_unix: Option<f64>,
+}
+
+impl Cli {
+    /// Parses `[<experiment>|all] [--<param> VALUE]... [--write]
+    /// [--metrics PATH] [--wall-unix SECS]`. Param flags are collected
+    /// into a JSON object and parsed against the selected schema — the
+    /// experiment's own, or only `threads` for `all` — so every error
+    /// message is the schema's.
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let mut name = None;
+        let mut write = false;
+        let mut metrics = None;
+        let mut wall_unix = None;
+        let mut flags = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--write" => write = true,
+                "--metrics" => match it.next() {
+                    Some(p) if !p.is_empty() && !p.starts_with("--") => metrics = Some(p.clone()),
+                    _ => return Err("--metrics requires an output path".into()),
+                },
+                "--wall-unix" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
+                    Some(s) => wall_unix = Some(s),
+                    None => {
+                        return Err("--wall-unix requires a number (seconds since the epoch)".into())
+                    }
+                },
+                flag if flag.starts_with("--") => {
+                    let raw = it
+                        .next()
+                        .ok_or_else(|| format!("{flag} requires a value"))?;
+                    // Anything that is not a JSON number reaches the schema
+                    // as a string, which it rejects in its own words.
+                    let value = json::parse(raw).unwrap_or_else(|_| Json::Str(raw.clone()));
+                    flags.push((flag[2..].replace('-', "_"), value));
+                }
+                selector if name.is_none() => name = Some(selector),
+                extra => return Err(format!("unexpected argument {extra:?}")),
+            }
+        }
+        let name = name.unwrap_or("all");
+        let all = name == "all";
+        let (experiments, schema): (Vec<Box<dyn Experiment>>, _) = if all {
+            // `chaos` is a gate, run as `repro chaos` with replay flags
+            // that are not params.
+            let suite = experiment::registry()
+                .into_iter()
+                .filter(|e| e.name() != "chaos")
+                .collect();
+            (suite, params::BASE)
+        } else {
+            let exp = experiment::find(name).ok_or_else(|| {
+                let known: Vec<&str> = experiment::registry().iter().map(|e| e.name()).collect();
+                format!(
+                    "unknown experiment {name:?} (known: all, {})",
+                    known.join(", ")
+                )
+            })?;
+            let schema = exp.schema();
+            (vec![exp], schema)
+        };
+        let params =
+            Params::from_json(&Json::Obj(flags), schema).map_err(|msg| format!("{name}: {msg}"))?;
+        Ok(Self {
+            all,
+            experiments,
+            params,
+            write,
+            metrics,
+            wall_unix,
+        })
+    }
+}
+
+/// Writes `text` to `path`, creating its parent directory.
+fn write_file(path: &str, text: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+}
+
+/// The `EXPERIMENTS.md` record: preamble, serving endpoints, every
+/// experiment's section in suite order, and the paper-vs-measured
+/// summary.
+fn experiments_md(
+    sections: &str,
+    comparisons: &[(String, Comparison)],
+    started: Instant,
+) -> String {
+    let mut md = String::from(
         "# EXPERIMENTS — paper vs. measured\n\n\
          Generated by `cargo run --release -p tts-bench --bin repro -- all --write`.\n\n\
          Absolute agreement with the authors' testbed is not expected (our substrate\n\
@@ -189,162 +247,19 @@ fn main() {
          the substitutions.\n\n",
     );
     md.push_str(&serving_endpoints_md());
-
-    let all = which == "all";
-    if all || which == "table1" {
-        run_table1(&mut md);
-    }
-    if all || which == "fig1" {
-        run_fig1(&mut md);
-    }
-    if all || which == "fig4" {
-        run_fig4(&mut md, &mut comparisons);
-    }
-    if all || which == "fig7" {
-        run_experiment("fig7", &ctx, &mut md, &mut comparisons, write);
-    }
-    if all || which == "fig10" {
-        run_fig10(&mut md);
-    }
-    let mut fig11_fig: Option<Figure> = None;
-    let mut fig12_fig: Option<Figure> = None;
-    if all || which == "fig11" || which == "tco" {
-        fig11_fig = Some(run_experiment(
-            "fig11",
-            &ctx,
-            &mut md,
-            &mut comparisons,
-            write,
-        ));
-    }
-    if all || which == "fig12" || which == "tco" {
-        fig12_fig = Some(run_experiment(
-            "fig12",
-            &ctx,
-            &mut md,
-            &mut comparisons,
-            write,
-        ));
-    }
-    if all || which == "table2" {
-        run_table2(&mut md);
-    }
-    if let (Some(f11), Some(f12)) = (&fig11_fig, &fig12_fig) {
-        if all || which == "tco" {
-            run_tco(&mut md, &mut comparisons, f11, f12);
-        }
-    }
-    if all || which == "dcsim" {
-        run_experiment("dcsim", &ctx, &mut md, &mut comparisons, write);
-    }
-    if all || which == "fleet" {
-        // In `all` mode the shared CLI params are scoped to what each
-        // experiment understands; with an explicit selector, a foreign
-        // flag is a usage error (the experiment's schema rejects it).
-        let mut p = cli_params;
-        if all {
-            p.slot_min = None;
-            p.tranches = None;
-            p.budget = None;
-            p.generations = None;
-            p.sites = None;
-            p.backends = None;
-            p.traces = None;
-        }
-        run_experiment_with("fleet", &p, &ctx, &mut md, &mut comparisons, write);
-    }
-    if all || which == "schedule" {
-        let mut p = cli_params;
-        if all {
-            p.shards = None;
-            p.datacenters = None;
-            p.budget = None;
-            p.generations = None;
-            p.sites = None;
-            p.backends = None;
-            p.traces = None;
-        }
-        run_experiment_with("schedule", &p, &ctx, &mut md, &mut comparisons, write);
-    }
-    if all || which == "design" {
-        let mut p = cli_params;
-        if all {
-            p.shards = None;
-            p.datacenters = None;
-            p.slot_min = None;
-            p.tranches = None;
-            p.horizon_h = None;
-            p.sites = None;
-            p.backends = None;
-            p.traces = None;
-        }
-        run_experiment_with("design", &p, &ctx, &mut md, &mut comparisons, write);
-    }
-    if all || which == "scenarios" {
-        let mut p = cli_params;
-        if all {
-            p.servers = None;
-            p.shards = None;
-            p.datacenters = None;
-            p.horizon_h = None;
-            p.slot_min = None;
-            p.tranches = None;
-            p.budget = None;
-            p.generations = None;
-        }
-        run_experiment_with("scenarios", &p, &ctx, &mut md, &mut comparisons, write);
-    }
-    if all || which == "extensions" {
-        run_extensions(&mut md);
-    }
-
-    // Summary.
-    let mut rows = Vec::new();
-    for (ctx_label, c) in &comparisons {
-        rows.push(vec![
-            ctx_label.clone(),
-            c.metric.clone(),
-            format_quantity(c.paper, &c.unit),
-            format_quantity(c.measured, &c.unit),
-            format!("{:+.0}%", c.relative_error() * 100.0),
-        ]);
-    }
-    if !rows.is_empty() {
-        let summary = text_table(
-            &["experiment", "metric", "paper", "measured", "deviation"],
-            &rows,
-        );
-        println!("\n=== paper vs. measured summary ===\n{summary}");
+    md.push_str(sections);
+    if !comparisons.is_empty() {
         md.push_str("\n## Summary\n\n| experiment | metric | paper | measured | deviation |\n|---|---|---|---|---|\n");
-        for (ctx_label, c) in &comparisons {
-            md.push_str(&format!("| {} {}\n", ctx_label, comparison_row(c)));
+        for (label, c) in comparisons {
+            let _ = writeln!(md, "| {label} {}", comparison_row(c));
         }
     }
-
     let _ = writeln!(
         md,
         "\n*Total regeneration time: {:.1} s.*",
         started.elapsed().as_secs_f64()
     );
-
-    if write {
-        std::fs::write("EXPERIMENTS.md", &md).expect("write EXPERIMENTS.md");
-        println!("wrote EXPERIMENTS.md");
-    }
-    if let Some(path) = metrics_path {
-        let sidecar = ctx.sidecar(None, wall_unix).expect("metrics enabled");
-        let text = sidecar.to_string_pretty();
-        // Parse-back validation: the sidecar must round-trip through the
-        // in-repo JSON layer before it is worth writing.
-        let parsed = tts_units::json::parse(&text).expect("metrics sidecar parses back");
-        assert_eq!(parsed, sidecar, "metrics sidecar round-trips losslessly");
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(&path, &text).expect("write metrics sidecar");
-        println!("wrote metrics sidecar to {path}");
-    }
-    eprintln!("done in {:.1} s", started.elapsed().as_secs_f64());
+    md
 }
 
 /// The `EXPERIMENTS.md` preamble section documenting the `ttsd` HTTP
@@ -398,54 +313,6 @@ fn serving_endpoints_md() -> String {
         md.push('\n');
     }
     md
-}
-
-/// Runs one registered experiment: prints its rendered text, collects its
-/// markdown and comparisons, and (with `--write`) files its JSON artifacts
-/// plus the machine-readable summary from `emit_json`.
-fn run_experiment(
-    name: &str,
-    ctx: &ExecCtx,
-    md: &mut String,
-    comparisons: &mut Vec<(String, Comparison)>,
-    write: bool,
-) -> Figure {
-    run_experiment_with(name, &Params::default(), ctx, md, comparisons, write)
-}
-
-/// [`run_experiment`] with caller-supplied parameter overrides (the fleet
-/// scale flags); an unsupported override is a usage error.
-fn run_experiment_with(
-    name: &str,
-    params: &Params,
-    ctx: &ExecCtx,
-    md: &mut String,
-    comparisons: &mut Vec<(String, Comparison)>,
-    write: bool,
-) -> Figure {
-    let exp = experiment::find(name).expect("experiment is registered");
-    let fig = exp.run_with(ctx, params).unwrap_or_else(|msg| {
-        eprintln!("{name}: {msg}");
-        std::process::exit(2);
-    });
-    println!("=== {} ===", fig.title);
-    println!("{}", fig.text);
-    md.push_str(&fig.markdown);
-    comparisons.extend(fig.comparisons.iter().cloned());
-    if write {
-        for (path, doc) in &fig.artifacts {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            let _ = std::fs::write(path, doc.to_string_pretty());
-        }
-        let _ = std::fs::create_dir_all("results");
-        let _ = std::fs::write(
-            format!("results/{}.summary.json", fig.name),
-            exp.emit_json(&fig).to_string_pretty(),
-        );
-    }
-    fig
 }
 
 /// `bench-check <report.json> <baseline.json> <max-regress-pct>`: fails
@@ -698,332 +565,4 @@ fn chaos(args: &[String]) -> i32 {
         eprintln!("chaos: the connection storm found violations (see summary JSON)");
     }
     1
-}
-
-fn run_table1(md: &mut String) {
-    println!("=== Table 1: properties of common solid-liquid PCMs ===");
-    let rows = experiments::table1();
-    let table = text_table(
-        &[
-            "PCM",
-            "Melting Temp (°C)",
-            "Heat of Fusion (J/g)",
-            "Density (g/mL)",
-            "Stability",
-            "E. Conductive",
-            "Corrosive",
-            "DC-suitable",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    format!("{:.1}", r.melting_temp_c),
-                    format!("{:.0}", r.heat_of_fusion_j_g),
-                    format!("{:.2}", r.density_g_ml),
-                    r.stability.clone(),
-                    yesno(r.electrically_conductive),
-                    yesno(r.corrosive),
-                    yesno(r.datacenter_suitable),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("{table}");
-    md.push_str("## Table 1 — PCM comparison\n\nReproduced as a data table (paper values embedded); only the paraffins pass the datacenter screen, as in §2.1.\n\n```text\n");
-    md.push_str(&table);
-    md.push_str("```\n\n");
-}
-
-fn run_fig1(md: &mut String) {
-    println!("=== Figure 1: thermal time shifting (concept, from a real run) ===");
-    let (t, no_wax, with_wax) = experiments::concept_figure();
-    let chart = ascii_chart(
-        &[("heat output", &no_wax), ("cooling load w/ PCM", &with_wax)],
-        72,
-        14,
-    );
-    println!(
-        "one day, 1U cluster; x = 0..{:.0} h\n{chart}",
-        t.last().unwrap_or(&24.0)
-    );
-    md.push_str("## Figure 1 — concept\n\nRendered from a real 1U cluster run (first day): the wax flattens the daytime peak and returns the heat overnight.\n\n```text\n");
-    md.push_str(&chart);
-    md.push_str("```\n\n");
-}
-
-fn run_fig4(md: &mut String, comparisons: &mut Vec<(String, Comparison)>) {
-    println!("=== Figure 4: model validation (1 h idle + 12 h load + 12 h idle) ===");
-    let r = experiments::fig4();
-    let chart = ascii_chart(
-        &[
-            ("real wax", &r.real_wax),
-            ("real placebo", &r.real_placebo),
-            ("model wax", &r.icepak_wax),
-            ("model placebo", &r.icepak_placebo),
-        ],
-        72,
-        16,
-    );
-    println!("{chart}");
-    println!(
-        "steady-state mean difference (model vs real, loaded):  wax {:+.2} K, placebo {:+.2} K",
-        r.steady_wax.mean_difference, r.steady_placebo.mean_difference
-    );
-    println!(
-        "transient correlation (wax): r = {:.3}\n",
-        r.transient_wax.correlation
-    );
-    // Figure 4 (c): per-sensor steady-state bars.
-    let sensor_table = text_table(
-        &["sensor", "Real °C", "Icepak °C", "Difference K"],
-        &r.sensors
-            .iter()
-            .map(|s| {
-                vec![
-                    s.name.clone(),
-                    format!("{:.2}", s.real_c),
-                    format!("{:.2}", s.icepak_c),
-                    format!("{:+.2}", s.difference()),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("Figure 4 (c) — steady state while hot:\n{sensor_table}");
-    comparisons.push((
-        "Fig 4".into(),
-        Comparison::new(
-            "steady-state mean difference (abs)",
-            0.22,
-            r.steady_wax.mean_difference.abs(),
-            "K",
-        ),
-    ));
-    md.push_str("## Figure 4 — model validation\n\nOur \"real server\" is a perturbed high-resolution reference model with noisy sensors (see DESIGN.md). Four traces (temperatures near the wax box):\n\n```text\n");
-    md.push_str(&chart);
-    md.push_str("```\n\n");
-    let _ = writeln!(
-        md,
-        "Steady-state mean difference: wax {:+.2} K, placebo {:+.2} K (paper: 0.22 °C). Transient correlation r = {:.3}.\n",
-        r.steady_wax.mean_difference, r.steady_placebo.mean_difference, r.transient_wax.correlation
-    );
-    md.push_str("Figure 4 (c) — per-sensor steady state while hot:\n\n```text\n");
-    md.push_str(&text_table(
-        &["sensor", "Real °C", "Icepak °C", "Difference K"],
-        &r.sensors
-            .iter()
-            .map(|s| {
-                vec![
-                    s.name.clone(),
-                    format!("{:.2}", s.real_c),
-                    format!("{:.2}", s.icepak_c),
-                    format!("{:+.2}", s.difference()),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    ));
-    md.push_str("```\n\n");
-}
-
-fn run_fig10(md: &mut String) {
-    println!("=== Figure 10: two-day datacenter workload trace ===");
-    let trace = experiments::fig10();
-    let total = trace.total();
-    let pct: Vec<f64> = total.values().iter().map(|v| v * 100.0).collect();
-    let chart = ascii_chart(&[("total load %", &pct)], 72, 12);
-    println!("{chart}");
-    println!(
-        "mean {:.1} %, peak {:.1} % (paper: normalized to 50 % / 95 %)\n",
-        total.mean() * 100.0,
-        total.peak() * 100.0
-    );
-    md.push_str("## Figure 10 — workload trace\n\nSynthetic two-day Google-like trace (three job types), normalized to exactly 50 % mean / 95 % peak:\n\n```text\n");
-    md.push_str(&chart);
-    md.push_str("```\n\n");
-}
-
-fn run_table2(md: &mut String) {
-    println!("=== Table 2: TCO parameters ===");
-    let t = experiments::table2();
-    let rows = vec![
-        (
-            "FacilitySpaceCapEx",
-            t.facility_space_capex_per_sqft,
-            "$/sq. ft.",
-        ),
-        ("UPSCapEx", t.ups_capex_per_server, "$/server"),
-        ("PowerInfraCapEx", t.power_infra_capex_per_kw, "$/kWatt"),
-        ("CoolingInfraCapEx", t.cooling_infra_capex_per_kw, "$/kWatt"),
-        ("RestCapEx", t.rest_capex_per_kw, "$/kWatt"),
-        ("DCInterest", t.dc_interest_per_kw, "$/kWatt"),
-        ("ServerCapEx", t.server_capex_per_server, "$/server"),
-        ("WaxCapEx", t.wax_capex_per_server, "$/server"),
-        ("ServerInterest", t.server_interest_per_server, "$/server"),
-        ("DatacenterOpEx", t.datacenter_opex_per_kw, "$/kWatt"),
-        ("ServerEnergyOpEx", t.server_energy_opex_per_kw, "$/kWatt"),
-        ("ServerPowerOpEx", t.server_power_opex_per_kw, "$/KWatt"),
-        ("CoolingEnergyOpEx", t.cooling_energy_opex_per_kw, "$/kWatt"),
-        ("RestOpEx", t.rest_opex_per_kw, "$/kWatt"),
-    ];
-    let table = text_table(
-        &["Description", "TCO/month", "Unit"],
-        &rows
-            .iter()
-            .map(|(n, r, u)| vec![n.to_string(), r.to_string(), u.to_string()])
-            .collect::<Vec<_>>(),
-    );
-    println!("{table}");
-    md.push_str("## Table 2 — TCO parameters\n\nEmbedded verbatim; the per-server rows are derived from server price (price/48 months, price × 0.0055 interest) and reproduce the printed bands.\n\n```text\n");
-    md.push_str(&table);
-    md.push_str("```\n\n");
-}
-
-fn run_tco(
-    md: &mut String,
-    comparisons: &mut Vec<(String, Comparison)>,
-    fig11: &Figure,
-    fig12: &Figure,
-) {
-    println!("=== TCO analyses (§5.1/§5.2) ===");
-    md.push_str("## TCO analyses\n\n");
-    for class in ServerClass::ALL {
-        // The §5 analyses consume only the headline scalars, handed over
-        // through the figures' key/value surface.
-        let reduction = fig11
-            .key_value(&format!("peak_reduction_frac.{class}"))
-            .expect("fig11 reports a peak reduction per class");
-        let gain = fig12
-            .key_value(&format!("peak_gain_frac.{class}"))
-            .expect("fig12 reports a peak gain per class");
-        let s = experiments::tco_summary_from(class, Fraction::new(reduction), Fraction::new(gain));
-        println!(
-            "--- {class} (measured reduction {:.1} %, gain {:.1} %) ---",
-            s.peak_reduction_pct,
-            gain * 100.0
-        );
-        for c in [
-            &s.downsize_savings_per_year,
-            &s.added_servers,
-            &s.retrofit_savings_per_year,
-            &s.tco_efficiency_pct,
-        ] {
-            println!(
-                "  {:<34} paper {:>12}  measured {:>12}",
-                c.metric,
-                format_quantity(c.paper, &c.unit),
-                format_quantity(c.measured, &c.unit)
-            );
-            comparisons.push((format!("TCO {class}"), c.clone()));
-        }
-        let _ = writeln!(
-            md,
-            "### {class}\n\n| metric | paper | measured | deviation |\n|---|---|---|---|"
-        );
-        for c in [
-            &s.downsize_savings_per_year,
-            &s.added_servers,
-            &s.retrofit_savings_per_year,
-            &s.tco_efficiency_pct,
-        ] {
-            let _ = writeln!(
-                md,
-                "| {} | {} | {} | {:+.0}% |",
-                c.metric,
-                format_quantity(c.paper, &c.unit),
-                format_quantity(c.measured, &c.unit),
-                c.relative_error() * 100.0
-            );
-        }
-        md.push('\n');
-    }
-}
-
-fn run_extensions(md: &mut String) {
-    use thermal_time_shifting::extensions::*;
-    println!("=== Extension studies (beyond the paper) ===");
-    md.push_str("## Extension studies (beyond the paper)\n\n");
-    let class = ServerClass::LowPower1U;
-
-    let opex = cooling_opex_study(class);
-    println!(
-        "cooling electricity (tariff + economizer): ${:.0}/yr -> ${:.0}/yr with PCM ({:.2} % saved)",
-        opex.without_pcm_per_year.value(),
-        opex.with_pcm_per_year.value(),
-        opex.saving.percent()
-    );
-    let _ = writeln!(
-        md,
-        "* **Cooling electricity** (tariff + temperate-climate economizer, 1U cluster): ${:.0}/yr → ${:.0}/yr with PCM ({:.2} % saved by shifting cooling work into cheap, cold nights — Figure 1's \"additional advantages\").",
-        opex.without_pcm_per_year.value(),
-        opex.with_pcm_per_year.value(),
-        opex.saving.percent()
-    );
-
-    let reloc = relocation_study(class);
-    println!(
-        "relocation bill: ${:.0}/yr -> ${:.0}/yr with PCM per cluster",
-        reloc.without_pcm_per_year.value(),
-        reloc.with_pcm_per_year.value()
-    );
-    let _ = writeln!(
-        md,
-        "* **Job relocation vs. wax** (§5.2's other lever, $0.12/server-hour WAN+SLA): ${:.0}/yr → ${:.0}/yr per oversubscribed cluster.",
-        reloc.without_pcm_per_year.value(),
-        reloc.with_pcm_per_year.value()
-    );
-
-    println!("partial deployment curve:");
-    let _ = writeln!(
-        md,
-        "* **Rack-by-rack deployment** (fraction equipped → peak reduction):"
-    );
-    for p in partial_deployment_study(class, 5) {
-        println!(
-            "  {:>4.0} % equipped -> {:>5.2} % reduction",
-            p.equipped.percent(),
-            p.peak_reduction.percent()
-        );
-        let _ = writeln!(
-            md,
-            "  * {:.0} % equipped → {:.2} % peak reduction",
-            p.equipped.percent(),
-            p.peak_reduction.percent()
-        );
-    }
-
-    let crowd = flash_crowd_study(class);
-    println!(
-        "flash crowd (+20 % for 1 h at peak): calm {:.2} % vs surge {:.2} % reduction",
-        crowd.calm_reduction.percent(),
-        crowd.surge_reduction.percent()
-    );
-    let _ = writeln!(
-        md,
-        "* **Flash crowd** (+20 % for 1 h on the daily peak): peak reduction {:.2} % calm → {:.2} % with the surge (re-optimized wax still absorbs most of it).",
-        crowd.calm_reduction.percent(),
-        crowd.surge_reduction.percent()
-    );
-
-    let life = lifetime_study(class);
-    println!(
-        "wax endurance: {:.1} % capacity after 4 y, {:.1} % after 10 y of daily cycles",
-        life.capacity_after_server_life.percent(),
-        life.capacity_after_plant_life.percent()
-    );
-    let _ = writeln!(
-        md,
-        "* **Cycling endurance** (Table 1 stability made quantitative): the selected commercial paraffin keeps {:.1} % of its latent capacity after the 4-year server life and {:.1} % after the 10-year plant life; 80 % end-of-life is reached only after {} daily cycles.\n",
-        life.capacity_after_server_life.percent(),
-        life.capacity_after_plant_life.percent(),
-        life.cycles_to_80pct
-    );
-}
-
-fn yesno(b: bool) -> String {
-    if b {
-        "Yes".into()
-    } else {
-        "No".into()
-    }
 }

@@ -64,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod airflow;
 pub mod audit;
 pub mod convection;
@@ -75,7 +74,6 @@ pub mod reference;
 pub mod steady;
 pub mod trace;
 
-pub use adaptive::{step_adaptive, AdaptiveReport};
 pub use airflow::{FanCurve, FlowPath, OperatingPoint};
 pub use audit::{audit, AuditFinding};
 pub use integrator::Integrator;

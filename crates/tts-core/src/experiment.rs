@@ -16,12 +16,12 @@ use tts_dcsim::discrete;
 use tts_obs::MetricsSink;
 use tts_server::ServerClass;
 use tts_units::json::{Json, ToJson};
-use tts_units::Seconds;
+use tts_units::{Fraction, Seconds};
 use tts_workload::{GoogleTrace, JobStream, JobType};
 
 use crate::chart::ascii_chart;
 use crate::experiments::{self, Comparison};
-use crate::report::text_table;
+use crate::report::{comparison_row, format_quantity, text_table};
 
 /// A cooperative cancellation token: cheap to clone, safe to poll from
 /// any thread. The holder of one half (e.g. a job store answering
@@ -293,21 +293,177 @@ pub trait Experiment {
 /// Every registered experiment, in suite order.
 pub fn registry() -> Vec<Box<dyn Experiment>> {
     vec![
+        Box::new(Table1Pcms),
+        Box::new(Fig1Concept),
+        Box::new(Fig4Validation),
         Box::new(Fig7Blockage),
+        Box::new(Fig10Trace),
         Box::new(Fig11CoolingLoad),
         Box::new(Fig12Constrained),
+        Box::new(Table2Params),
+        Box::new(TcoAnalyses),
         Box::new(DcsimQos),
         Box::new(ChaosBatch),
         Box::new(FleetScale),
         Box::new(ScheduleOpt),
         Box::new(DesignSearch),
         Box::new(Scenarios),
+        Box::new(ExtensionStudies),
     ]
 }
 
 /// Finds an experiment by dispatch name.
 pub fn find(name: &str) -> Option<Box<dyn Experiment>> {
     registry().into_iter().find(|e| e.name() == name)
+}
+
+/// Table 1: the PCM comparison, screened for datacenter deployment.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Table1Pcms;
+
+impl Experiment for Table1Pcms {
+    fn name(&self) -> &'static str {
+        "table1"
+    }
+
+    fn run(&self, _ctx: &ExecCtx) -> Figure {
+        let yesno = |b: bool| if b { "Yes" } else { "No" }.to_string();
+        let rows: Vec<Vec<String>> = experiments::table1()
+            .iter()
+            .map(|r| {
+                vec![
+                    r.name.clone(),
+                    format!("{:.1}", r.melting_temp_c),
+                    format!("{:.0}", r.heat_of_fusion_j_g),
+                    format!("{:.2}", r.density_g_ml),
+                    r.stability.clone(),
+                    yesno(r.electrically_conductive),
+                    yesno(r.corrosive),
+                    yesno(r.datacenter_suitable),
+                ]
+            })
+            .collect();
+        let table = text_table(
+            &[
+                "PCM",
+                "Melting Temp (°C)",
+                "Heat of Fusion (J/g)",
+                "Density (g/mL)",
+                "Stability",
+                "E. Conductive",
+                "Corrosive",
+                "DC-suitable",
+            ],
+            &rows,
+        );
+        let mut fig = Figure::new("table1", "Table 1: properties of common solid-liquid PCMs");
+        fig.markdown = format!(
+            "## Table 1 — PCM comparison\n\nReproduced as a data table (paper values embedded); \
+             only the paraffins pass the datacenter screen, as in §2.1.\n\n```text\n{table}```\n\n"
+        );
+        fig.text = table;
+        fig
+    }
+}
+
+/// Figure 1: the thermal-time-shifting concept, drawn from the first day
+/// of a real 1U cluster run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Fig1Concept;
+
+impl Experiment for Fig1Concept {
+    fn name(&self) -> &'static str {
+        "fig1"
+    }
+
+    fn run(&self, _ctx: &ExecCtx) -> Figure {
+        let (t, no_wax, with_wax) = experiments::concept_figure();
+        let chart = ascii_chart(
+            &[("heat output", &no_wax), ("cooling load w/ PCM", &with_wax)],
+            72,
+            14,
+        );
+        let mut fig = Figure::new(
+            "fig1",
+            "Figure 1: thermal time shifting (concept, from a real run)",
+        );
+        fig.text = format!(
+            "one day, 1U cluster; x = 0..{:.0} h\n{chart}",
+            t.last().unwrap_or(&24.0)
+        );
+        fig.markdown = format!(
+            "## Figure 1 — concept\n\nRendered from a real 1U cluster run (first day): the wax \
+             flattens the daytime peak and returns the heat overnight.\n\n```text\n{chart}```\n\n"
+        );
+        fig
+    }
+}
+
+/// Figure 4: the model-validation experiment (§3), model against the
+/// perturbed "real server" on the 1 h idle / 12 h load / 12 h idle
+/// protocol.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Fig4Validation;
+
+impl Experiment for Fig4Validation {
+    fn name(&self) -> &'static str {
+        "fig4"
+    }
+
+    fn run(&self, _ctx: &ExecCtx) -> Figure {
+        let r = experiments::fig4();
+        let chart = ascii_chart(
+            &[
+                ("real wax", &r.real_wax),
+                ("real placebo", &r.real_placebo),
+                ("model wax", &r.icepak_wax),
+                ("model placebo", &r.icepak_placebo),
+            ],
+            72,
+            16,
+        );
+        let sensors = text_table(
+            &["sensor", "Real °C", "Icepak °C", "Difference K"],
+            &r.sensors
+                .iter()
+                .map(|s| {
+                    vec![
+                        s.name.clone(),
+                        format!("{:.2}", s.real_c),
+                        format!("{:.2}", s.icepak_c),
+                        format!("{:+.2}", s.difference()),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
+        let (wax, placebo) = (
+            r.steady_wax.mean_difference,
+            r.steady_placebo.mean_difference,
+        );
+        let corr = r.transient_wax.correlation;
+        let mut fig = Figure::new(
+            "fig4",
+            "Figure 4: model validation (1 h idle + 12 h load + 12 h idle)",
+        );
+        fig.text = format!(
+            "{chart}\nsteady-state mean difference (model vs real, loaded):  wax {wax:+.2} K, \
+             placebo {placebo:+.2} K\ntransient correlation (wax): r = {corr:.3}\n\n\
+             Figure 4 (c) — steady state while hot:\n{sensors}"
+        );
+        fig.markdown = format!(
+            "## Figure 4 — model validation\n\nOur \"real server\" is a perturbed \
+             high-resolution reference model with noisy sensors (see DESIGN.md). Four traces \
+             (temperatures near the wax box):\n\n```text\n{chart}```\n\n\
+             Steady-state mean difference: wax {wax:+.2} K, placebo {placebo:+.2} K (paper: \
+             0.22 °C). Transient correlation r = {corr:.3}.\n\n\
+             Figure 4 (c) — per-sensor steady state while hot:\n\n```text\n{sensors}```\n\n"
+        );
+        fig.comparisons.push((
+            "Fig 4".into(),
+            Comparison::new("steady-state mean difference (abs)", 0.22, wax.abs(), "K"),
+        ));
+        fig
+    }
 }
 
 /// Figure 7: the airflow-blockage temperature sweeps.
@@ -371,6 +527,34 @@ impl Experiment for Fig7Blockage {
                     .push(("ocp_baseline_outlet_c".into(), baseline));
             }
         }
+        fig
+    }
+}
+
+/// Figure 10: the synthetic two-day Google-like workload trace.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Fig10Trace;
+
+impl Experiment for Fig10Trace {
+    fn name(&self) -> &'static str {
+        "fig10"
+    }
+
+    fn run(&self, _ctx: &ExecCtx) -> Figure {
+        let trace = experiments::fig10();
+        let total = trace.total();
+        let pct: Vec<f64> = total.values().iter().map(|v| v * 100.0).collect();
+        let chart = ascii_chart(&[("total load %", &pct)], 72, 12);
+        let mut fig = Figure::new("fig10", "Figure 10: two-day datacenter workload trace");
+        fig.text = format!(
+            "{chart}\nmean {:.1} %, peak {:.1} % (paper: normalized to 50 % / 95 %)\n",
+            total.mean() * 100.0,
+            total.peak() * 100.0
+        );
+        fig.markdown = format!(
+            "## Figure 10 — workload trace\n\nSynthetic two-day Google-like trace (three job \
+             types), normalized to exactly 50 % mean / 95 % peak:\n\n```text\n{chart}```\n\n"
+        );
         fig
     }
 }
@@ -511,6 +695,111 @@ impl Experiment for Fig12Constrained {
                 format!("peak_gain_frac.{class}"),
                 r.study.run.peak_gain.value(),
             ));
+        }
+        fig
+    }
+}
+
+/// Table 2: the TCO parameter set, embedded verbatim.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Table2Params;
+
+impl Experiment for Table2Params {
+    fn name(&self) -> &'static str {
+        "table2"
+    }
+
+    fn run(&self, _ctx: &ExecCtx) -> Figure {
+        let t = experiments::table2();
+        let rows = [
+            (
+                "FacilitySpaceCapEx",
+                t.facility_space_capex_per_sqft,
+                "$/sq. ft.",
+            ),
+            ("UPSCapEx", t.ups_capex_per_server, "$/server"),
+            ("PowerInfraCapEx", t.power_infra_capex_per_kw, "$/kWatt"),
+            ("CoolingInfraCapEx", t.cooling_infra_capex_per_kw, "$/kWatt"),
+            ("RestCapEx", t.rest_capex_per_kw, "$/kWatt"),
+            ("DCInterest", t.dc_interest_per_kw, "$/kWatt"),
+            ("ServerCapEx", t.server_capex_per_server, "$/server"),
+            ("WaxCapEx", t.wax_capex_per_server, "$/server"),
+            ("ServerInterest", t.server_interest_per_server, "$/server"),
+            ("DatacenterOpEx", t.datacenter_opex_per_kw, "$/kWatt"),
+            ("ServerEnergyOpEx", t.server_energy_opex_per_kw, "$/kWatt"),
+            ("ServerPowerOpEx", t.server_power_opex_per_kw, "$/KWatt"),
+            ("CoolingEnergyOpEx", t.cooling_energy_opex_per_kw, "$/kWatt"),
+            ("RestOpEx", t.rest_opex_per_kw, "$/kWatt"),
+        ];
+        let table = text_table(
+            &["Description", "TCO/month", "Unit"],
+            &rows
+                .iter()
+                .map(|(n, r, u)| vec![n.to_string(), r.to_string(), u.to_string()])
+                .collect::<Vec<_>>(),
+        );
+        let mut fig = Figure::new("table2", "Table 2: TCO parameters");
+        fig.markdown = format!(
+            "## Table 2 — TCO parameters\n\nEmbedded verbatim; the per-server rows are derived \
+             from server price (price/48 months, price × 0.0055 interest) and reproduce the \
+             printed bands.\n\n```text\n{table}```\n\n"
+        );
+        fig.text = table;
+        fig
+    }
+}
+
+/// The §5.1/§5.2 TCO analyses, driven by the measured Figure 11 peak
+/// reduction and Figure 12 peak gain of each server class.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TcoAnalyses;
+
+impl Experiment for TcoAnalyses {
+    fn name(&self) -> &'static str {
+        "tco"
+    }
+
+    fn run(&self, ctx: &ExecCtx) -> Figure {
+        // The analyses consume only the headline scalars, handed over
+        // through the figures' key/value surface.
+        let fig11 = Fig11CoolingLoad.run(ctx);
+        let fig12 = Fig12Constrained.run(ctx);
+        let mut fig = Figure::new("tco", "TCO analyses (§5.1/§5.2)");
+        fig.markdown.push_str("## TCO analyses\n\n");
+        for class in ServerClass::ALL {
+            let reduction = fig11
+                .key_value(&format!("peak_reduction_frac.{class}"))
+                .expect("fig11 reports a peak reduction per class");
+            let gain = fig12
+                .key_value(&format!("peak_gain_frac.{class}"))
+                .expect("fig12 reports a peak gain per class");
+            let s =
+                experiments::tco_summary_from(class, Fraction::new(reduction), Fraction::new(gain));
+            fig.text.push_str(&format!(
+                "--- {class} (measured reduction {:.1} %, gain {:.1} %) ---\n",
+                s.peak_reduction_pct,
+                gain * 100.0
+            ));
+            fig.markdown.push_str(&format!(
+                "### {class}\n\n| metric | paper | measured | deviation |\n|---|---|---|---|\n"
+            ));
+            for c in [
+                &s.downsize_savings_per_year,
+                &s.added_servers,
+                &s.retrofit_savings_per_year,
+                &s.tco_efficiency_pct,
+            ] {
+                fig.text.push_str(&format!(
+                    "  {:<34} paper {:>12}  measured {:>12}\n",
+                    c.metric,
+                    format_quantity(c.paper, &c.unit),
+                    format_quantity(c.measured, &c.unit)
+                ));
+                fig.markdown.push_str(&comparison_row(c));
+                fig.markdown.push('\n');
+                fig.comparisons.push((format!("TCO {class}"), c.clone()));
+            }
+            fig.markdown.push('\n');
         }
         fig
     }
@@ -1333,6 +1622,99 @@ impl Scenarios {
     }
 }
 
+/// The extension studies the paper motivates but never runs: cooling
+/// electricity under a tariff and economizer, job relocation, rack-by-rack
+/// deployment, flash crowds, and wax cycling endurance (1U cluster).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExtensionStudies;
+
+impl Experiment for ExtensionStudies {
+    fn name(&self) -> &'static str {
+        "extensions"
+    }
+
+    fn run(&self, _ctx: &ExecCtx) -> Figure {
+        use crate::extensions::*;
+        let class = ServerClass::LowPower1U;
+        let mut fig = Figure::new("extensions", "Extension studies (beyond the paper)");
+        fig.markdown
+            .push_str("## Extension studies (beyond the paper)\n\n");
+
+        let opex = cooling_opex_study(class);
+        let (before, after, saved) = (
+            opex.without_pcm_per_year.value(),
+            opex.with_pcm_per_year.value(),
+            opex.saving.percent(),
+        );
+        fig.text.push_str(&format!(
+            "cooling electricity (tariff + economizer): ${before:.0}/yr -> ${after:.0}/yr with PCM \
+             ({saved:.2} % saved)\n"
+        ));
+        fig.markdown.push_str(&format!(
+            "* **Cooling electricity** (tariff + temperate-climate economizer, 1U cluster): \
+             ${before:.0}/yr → ${after:.0}/yr with PCM ({saved:.2} % saved by shifting cooling \
+             work into cheap, cold nights — Figure 1's \"additional advantages\").\n"
+        ));
+
+        let reloc = relocation_study(class);
+        let (before, after) = (
+            reloc.without_pcm_per_year.value(),
+            reloc.with_pcm_per_year.value(),
+        );
+        fig.text.push_str(&format!(
+            "relocation bill: ${before:.0}/yr -> ${after:.0}/yr with PCM per cluster\n"
+        ));
+        fig.markdown.push_str(&format!(
+            "* **Job relocation vs. wax** (§5.2's other lever, $0.12/server-hour WAN+SLA): \
+             ${before:.0}/yr → ${after:.0}/yr per oversubscribed cluster.\n"
+        ));
+
+        fig.text.push_str("partial deployment curve:\n");
+        fig.markdown
+            .push_str("* **Rack-by-rack deployment** (fraction equipped → peak reduction):\n");
+        for p in partial_deployment_study(class, 5) {
+            let (equipped, reduction) = (p.equipped.percent(), p.peak_reduction.percent());
+            fig.text.push_str(&format!(
+                "  {equipped:>4.0} % equipped -> {reduction:>5.2} % reduction\n"
+            ));
+            fig.markdown.push_str(&format!(
+                "  * {equipped:.0} % equipped → {reduction:.2} % peak reduction\n"
+            ));
+        }
+
+        let crowd = flash_crowd_study(class);
+        let (calm, surge) = (
+            crowd.calm_reduction.percent(),
+            crowd.surge_reduction.percent(),
+        );
+        fig.text.push_str(&format!(
+            "flash crowd (+20 % for 1 h at peak): calm {calm:.2} % vs surge {surge:.2} % reduction\n"
+        ));
+        fig.markdown.push_str(&format!(
+            "* **Flash crowd** (+20 % for 1 h on the daily peak): peak reduction {calm:.2} % calm \
+             → {surge:.2} % with the surge (re-optimized wax still absorbs most of it).\n"
+        ));
+
+        let life = lifetime_study(class);
+        let (server_life, plant_life) = (
+            life.capacity_after_server_life.percent(),
+            life.capacity_after_plant_life.percent(),
+        );
+        fig.text.push_str(&format!(
+            "wax endurance: {server_life:.1} % capacity after 4 y, {plant_life:.1} % after 10 y \
+             of daily cycles\n"
+        ));
+        fig.markdown.push_str(&format!(
+            "* **Cycling endurance** (Table 1 stability made quantitative): the selected \
+             commercial paraffin keeps {server_life:.1} % of its latent capacity after the \
+             4-year server life and {plant_life:.1} % after the 10-year plant life; 80 % \
+             end-of-life is reached only after {} daily cycles.\n\n",
+            life.cycles_to_80pct
+        ));
+        fig
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1343,15 +1725,22 @@ mod tests {
         assert_eq!(
             names,
             [
+                "table1",
+                "fig1",
+                "fig4",
                 "fig7",
+                "fig10",
                 "fig11",
                 "fig12",
+                "table2",
+                "tco",
                 "dcsim",
                 "chaos",
                 "fleet",
                 "schedule",
                 "design",
-                "scenarios"
+                "scenarios",
+                "extensions"
             ]
         );
         assert!(find("fig11").is_some());

@@ -114,17 +114,13 @@ pub fn fig4_with(config: &ValidationConfig) -> ValidationResult {
     validation::run(config)
 }
 
-/// Figure 7: blockage sweeps for the three servers, in paper order.
+/// Figure 7: blockage sweeps for the three servers, in paper order, with
+/// every per-point thermal model and the sweep itself reporting into
+/// `sink` (see `tts_server::blockage::sweep_with`).
 ///
 /// The three classes are independent simulations, so they run on the
 /// [`tts_exec`] pool; output order (and content) is identical at any
 /// `TTS_THREADS`.
-pub fn fig7() -> Vec<(ServerClass, Vec<BlockageRow>)> {
-    fig7_with(&MetricsSink::disabled())
-}
-
-/// [`fig7`] with telemetry: every per-point thermal model and the sweep
-/// itself report into `sink` (see `tts_server::blockage::sweep_with`).
 pub fn fig7_with(sink: &MetricsSink) -> Vec<(ServerClass, Vec<BlockageRow>)> {
     tts_exec::par_map(&ServerClass::ALL, |&c| {
         (c, default_sweep_with(&c.spec(), sink))
@@ -161,19 +157,15 @@ pub fn paper_fig11_reduction(class: ServerClass) -> f64 {
 
 /// Figure 11: the fully-subscribed cooling-load study.
 pub fn fig11(class: ServerClass) -> Fig11Result {
-    fig11_with(class, &MetricsSink::disabled())
+    fig11_custom(class, &MetricsSink::disabled(), None, None)
 }
 
 /// [`fig11`] with telemetry routed through the scenario (grid-search
-/// counters + the winning run's series; see `tts_dcsim::cluster`).
-pub fn fig11_with(class: ServerClass, sink: &MetricsSink) -> Fig11Result {
-    fig11_custom(class, sink, None, None)
-}
-
-/// [`fig11_with`] with scenario overrides: a cluster size other than the
-/// paper's 1008 and/or a fixed wax melting point instead of the catalogue
-/// grid search. The paper comparison stays attached — under overrides it
-/// reads as "how far this what-if lands from the published figure".
+/// counters + the winning run's series; see `tts_dcsim::cluster`) and
+/// scenario overrides: a cluster size other than the paper's 1008 and/or
+/// a fixed wax melting point instead of the catalogue grid search. The
+/// paper comparison stays attached — under overrides it reads as "how far
+/// this what-if lands from the published figure".
 pub fn fig11_custom(
     class: ServerClass,
     sink: &MetricsSink,

@@ -45,7 +45,8 @@
 //! assert!(study.run.peak_reduction.value() > 0.0);
 //! ```
 //!
-//! Every table and figure of the paper is regenerated by the functions in
+//! Every table and figure of the paper is one [`Experiment`] in the
+//! [`experiment::registry`], built on the study functions in
 //! [`experiments`]; `cargo run -p tts-bench --bin repro` prints them all.
 
 #![forbid(unsafe_code)]

@@ -1,7 +1,8 @@
 //! Every experiment must be exactly reproducible: seeded randomness only.
 
-use thermal_time_shifting::experiments::{fig11, fig12, fig7};
+use thermal_time_shifting::experiments::{fig11, fig12, fig7_with};
 use thermal_time_shifting::Scenario;
+use tts_obs::MetricsSink;
 use tts_server::validation::{run, ValidationConfig};
 use tts_server::ServerClass;
 use tts_units::json::ToJson;
@@ -95,14 +96,14 @@ fn fig7_json_is_byte_identical_across_thread_counts() {
     // (three servers × ten blockage steady-states) serialized at 1 worker
     // and at 8 workers must agree byte for byte.
     let serial = with_threads(1, || {
-        fig7()
+        fig7_with(&MetricsSink::disabled())
             .iter()
             .map(|(c, rows)| format!("{c}:{}", rows.to_json_pretty()))
             .collect::<Vec<_>>()
             .join("\n")
     });
     let parallel = with_threads(8, || {
-        fig7()
+        fig7_with(&MetricsSink::disabled())
             .iter()
             .map(|(c, rows)| format!("{c}:{}", rows.to_json_pretty()))
             .collect::<Vec<_>>()

@@ -8,7 +8,8 @@
 //! `cargo run --release --example golden_scan` equivalent logic and update
 //! the constants below, explaining why in the commit).
 
-use thermal_time_shifting::experiments::{fig11, fig12, fig7};
+use thermal_time_shifting::experiments::{fig11, fig12, fig7_with};
+use tts_obs::MetricsSink;
 use tts_server::ServerClass;
 
 /// Relative tolerance for deterministic pipelines: float noise only.
@@ -54,7 +55,7 @@ const FIG7_TOL: f64 = 5e-6;
 
 #[test]
 fn fig7_blockage_sweep_matches_golden_values() {
-    let sweeps = fig7();
+    let sweeps = fig7_with(&MetricsSink::disabled());
     assert_eq!(sweeps.len(), 3, "three server classes");
     for gold in &FIG7_GOLD {
         let (_, rows) = sweeps
@@ -85,7 +86,7 @@ fn fig7_blockage_sweep_matches_golden_values() {
 fn fig7_sweep_is_monotone_in_blockage() {
     // Structural invariant alongside the point pins: more blockage means
     // less flow and hotter wax-zone air, for every class.
-    for (class, rows) in fig7() {
+    for (class, rows) in fig7_with(&MetricsSink::disabled()) {
         for w in rows.windows(2) {
             assert!(
                 w[1].flow.value() < w[0].flow.value(),
