@@ -15,6 +15,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
+echo "==> perfbench builds against the current library API"
+# perfbench is a workspace of its own, so the workspace build above does
+# not cover it; a library change that breaks its calls fails here.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 

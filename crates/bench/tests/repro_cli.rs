@@ -59,7 +59,7 @@ fn seed_flag_reaches_the_experiment() {
     let seeded = Params::from_json(&parse(r#"{"seed": 5}"#).unwrap(), exp.schema()).unwrap();
     let fig = exp.run_with(&ctx, &seeded).unwrap();
     assert_eq!(filed, exp.emit_json(&fig).to_string_pretty());
-    let default = exp.run(&ctx);
+    let default = exp.run(&ctx, &Params::default());
     assert_ne!(filed, exp.emit_json(&default).to_string_pretty());
 }
 

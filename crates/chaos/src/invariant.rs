@@ -89,12 +89,6 @@ impl Checker {
     pub fn into_parts(self) -> (u64, Vec<Violation>) {
         (self.checks, self.violations)
     }
-
-    /// Merges another checker's tallies into this one.
-    pub fn absorb(&mut self, other: Checker) {
-        self.checks += other.checks;
-        self.violations.extend(other.violations);
-    }
 }
 
 impl ToJson for Checker {
@@ -129,16 +123,5 @@ mod tests {
         assert_eq!(c.violations().len(), 3);
         assert_eq!(c.violations()[0].detail, "step 0");
         assert!(!c.all_green());
-    }
-
-    #[test]
-    fn absorb_merges_tallies() {
-        let mut a = Checker::new();
-        a.check("x", true, String::new);
-        let mut b = Checker::new();
-        b.check("y", false, || "boom".to_string());
-        a.absorb(b);
-        assert_eq!(a.checks(), 2);
-        assert_eq!(a.violations().len(), 1);
     }
 }

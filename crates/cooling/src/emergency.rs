@@ -132,13 +132,6 @@ tts_units::derive_json! { struct RideThrough {
     time_to_critical, peak_room_temp, wax_saturated_at, wax_energy_absorbed, simulated
 } }
 
-impl RideThrough {
-    /// Did the room hit the shutdown threshold?
-    pub fn reached_critical(&self) -> bool {
-        self.time_to_critical.is_some()
-    }
-}
-
 /// Simulates a total cooling failure: the room heats under `it_power`
 /// while a wax bank of total `coupling` (W/K) and `latent_budget` (J,
 /// counted from the failure moment) absorbs heat whenever the room is
@@ -320,7 +313,7 @@ mod tests {
             Joules::ZERO,
             Celsius::new(39.0),
         );
-        assert!(!r.reached_critical(), "{r:?}");
+        assert!(r.time_to_critical.is_none(), "{r:?}");
         assert_eq!(r.simulated, Seconds::new(86_400.0));
         // The peak is the 16 K equilibrium excursion, below critical.
         assert!(r.peak_room_temp.value() < room.critical.value());
@@ -361,7 +354,7 @@ mod tests {
             Celsius::new(28.0),
             Seconds::new(3_600.0),
         );
-        assert!(!r.reached_critical());
+        assert!(r.time_to_critical.is_none());
         assert!((r.peak_room_temp.value() - room.start.value()).abs() < 1e-9);
     }
 
@@ -387,7 +380,7 @@ mod tests {
         let derated = run(0.5).time_to_critical.expect("half plant overheats");
         assert!(derated.value() > 1.5 * outage.value());
         // 95 % capacity: envelope + plant carry the load forever.
-        assert!(!run(0.97).reached_critical());
+        assert!(run(0.97).time_to_critical.is_none());
     }
 
     #[test]
@@ -408,7 +401,7 @@ mod tests {
             Celsius::new(28.0),
             Seconds::new(3_600.0),
         );
-        assert!(!r.reached_critical(), "{r:?}");
+        assert!(r.time_to_critical.is_none(), "{r:?}");
         let expected_peak = room.start.value() + IT_POWER * 600.0 / room.capacitance.value();
         assert!(
             (r.peak_room_temp.value() - expected_peak).abs() < 1.0,

@@ -6,7 +6,7 @@
 //! servers per cluster).
 
 use tts_server::{ServerClass, ServerSpec};
-use tts_units::{Fraction, KiloWatts, MegaWatts};
+use tts_units::MegaWatts;
 
 /// A homogeneous datacenter built from identical 1008-server clusters.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,43 +47,16 @@ impl Datacenter {
         self.clusters * SERVERS_PER_CLUSTER
     }
 
-    /// Peak IT power of the whole datacenter (all servers at full load).
-    pub fn peak_it_power(&self) -> KiloWatts {
-        let spec = self.class.spec();
-        let per = spec.wall_power(Fraction::ONE, Fraction::ONE);
-        KiloWatts::new(per.value() * self.servers() as f64 / 1000.0)
-    }
-
-    /// Scales a per-cluster quantity to the datacenter.
-    pub fn scale_from_cluster(&self, per_cluster: f64) -> f64 {
-        per_cluster * self.clusters as f64
-    }
-
     /// The spec of the deployed server.
     pub fn spec(&self) -> ServerSpec {
         self.class.spec()
-    }
-
-    /// How many additional servers (each with wax) fit under the original
-    /// no-wax peak cooling load, given the with-wax per-server peak
-    /// contribution: solves `N' · peak_wax ≤ N · peak_no_wax`.
-    ///
-    /// With every server carrying wax, each contributes `(1 − r)` of the
-    /// original peak, so the headroom is `r/(1−r)` — the reason the paper
-    /// can add 9.8 % more 1U servers from an 8.9 % reduction.
-    pub fn added_servers_under_same_cooling(&self, peak_reduction: Fraction) -> usize {
-        let r = peak_reduction.value();
-        if r >= 1.0 {
-            return usize::MAX;
-        }
-        let extra = self.servers() as f64 * r / (1.0 - r);
-        extra.floor() as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tts_units::Fraction;
 
     #[test]
     fn paper_cluster_counts() {
@@ -104,7 +77,8 @@ mod tests {
         // 10 MW critical budget (the paper sizes cluster counts this way).
         for class in ServerClass::ALL {
             let dc = Datacenter::paper_10mw(class);
-            let peak = dc.peak_it_power().megawatts().value();
+            let per_server_w = dc.spec().wall_power(Fraction::ONE, Fraction::ONE).value();
+            let peak = per_server_w * dc.servers() as f64 / 1e6;
             assert!(
                 peak <= 10.3,
                 "{class}: peak IT power {peak} MW exceeds critical power"
@@ -120,25 +94,5 @@ mod tests {
     fn server_counts() {
         let dc = Datacenter::paper_10mw(ServerClass::LowPower1U);
         assert_eq!(dc.servers(), 55 * 1008);
-    }
-
-    #[test]
-    fn added_servers_match_paper_arithmetic() {
-        // 8.9 % reduction → 9.8 % more servers (1U); 12 % → ~13.6 % (2U).
-        let dc = Datacenter::paper_10mw(ServerClass::LowPower1U);
-        let added = dc.added_servers_under_same_cooling(Fraction::new(0.089));
-        let pct = added as f64 / dc.servers() as f64;
-        assert!((pct - 0.0977).abs() < 0.002, "1U added fraction {pct}");
-
-        let dc2 = Datacenter::paper_10mw(ServerClass::HighThroughput2U);
-        let added2 = dc2.added_servers_under_same_cooling(Fraction::new(0.12));
-        let pct2 = added2 as f64 / dc2.servers() as f64;
-        assert!((pct2 - 0.1364).abs() < 0.002, "2U added fraction {pct2}");
-    }
-
-    #[test]
-    fn scale_from_cluster_multiplies() {
-        let dc = Datacenter::paper_10mw(ServerClass::OpenComputeBlade);
-        assert_eq!(dc.scale_from_cluster(2.0), 58.0);
     }
 }

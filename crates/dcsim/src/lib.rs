@@ -9,9 +9,13 @@
 //! server". DCSim was never released; this crate implements that
 //! description:
 //!
-//! * [`event`] — the deterministic event queue;
 //! * [`calendar`] — the bucketed calendar queue behind the discrete
-//!   engine's hot path (same total order, O(1) amortized);
+//!   engine's hot path (O(1) amortized);
+//! * [`event`] — the binary-heap event queue, kept as the test oracle
+//!   the calendar queue's (time, seq) order is checked against;
+//! * `legacy` — the frozen heap-based discrete engine, kept only as the
+//!   oracle `tests/engine_equivalence.rs` proves the current engine
+//!   byte-identical against;
 //! * [`fleet`] — the epoch-sharded fleet engine: struct-of-arrays fluid
 //!   state for 1M+ servers across multiple datacenters, byte-identical
 //!   across thread *and* shard counts;

@@ -128,16 +128,7 @@ pub fn with_thread_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The budget leased to the current thread by [`with_thread_budget`], if
-/// inside one.
-pub fn thread_budget() -> Option<usize> {
-    match THREAD_BUDGET.with(Cell::get) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// The thread count used by [`par_map`] / [`par_for_each`]: the calling
+/// The thread count used by [`par_map`] and its variants: the calling
 /// thread's [`with_thread_budget`] lease if inside one, else the
 /// [`set_thread_override`] value if set, else `TTS_THREADS`, else the
 /// machine's available parallelism. Always at least 1.
@@ -266,16 +257,6 @@ fn record_worker_stats(sink: &MetricsSink, loads: &[u64]) {
         .set(if mean > 0.0 { max / mean } else { 0.0 });
 }
 
-/// Runs `f` on every item for its side effects (ordered completion is not
-/// observable; use [`par_map`] when results must be collected).
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    par_map(items, |item| f(item));
-}
-
 /// Applies `f` to every element of a mutable slice in parallel, each
 /// element visited exactly once (disjoint `&mut` access — deterministic by
 /// construction). Used for independent per-server state updates.
@@ -373,6 +354,11 @@ where
 mod tests {
     use super::*;
 
+    /// The budget leased to this thread by [`with_thread_budget`], if any.
+    fn leased() -> Option<usize> {
+        Some(THREAD_BUDGET.with(Cell::get)).filter(|&n| n > 0)
+    }
+
     #[test]
     fn results_are_in_input_order() {
         let items: Vec<usize> = (0..97).collect();
@@ -447,15 +433,15 @@ mod tests {
         // Run on a dedicated thread so other tests' global-override calls
         // cannot interleave with the assertion on the global fallback.
         std::thread::spawn(|| {
-            assert_eq!(thread_budget(), None);
+            assert_eq!(leased(), None);
             with_thread_budget(3, || {
-                assert_eq!(thread_budget(), Some(3));
+                assert_eq!(leased(), Some(3));
                 assert_eq!(thread_count(), 3);
                 with_thread_budget(5, || assert_eq!(thread_count(), 5));
                 // Inner lease restored to the outer one, not cleared.
                 assert_eq!(thread_count(), 3);
             });
-            assert_eq!(thread_budget(), None);
+            assert_eq!(leased(), None);
         })
         .join()
         .expect("budget thread");
@@ -468,7 +454,7 @@ mod tests {
                 with_thread_budget(7, || panic!("inside lease"));
             });
             assert!(caught.is_err());
-            assert_eq!(thread_budget(), None, "lease must not leak past unwind");
+            assert_eq!(leased(), None, "lease must not leak past unwind");
         })
         .join()
         .expect("unwind thread");
@@ -477,11 +463,9 @@ mod tests {
     #[test]
     fn thread_budget_is_thread_local_not_inherited() {
         with_thread_budget(4, || {
-            let other = std::thread::spawn(thread_budget)
-                .join()
-                .expect("spawned probe");
+            let other = std::thread::spawn(leased).join().expect("spawned probe");
             assert_eq!(other, None, "lease must not leak to other threads");
-            assert_eq!(thread_budget(), Some(4));
+            assert_eq!(leased(), Some(4));
         });
     }
 
@@ -545,16 +529,5 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b));
         assert_eq!(bits(&serial), bits(&parallel));
-    }
-
-    #[test]
-    fn side_effect_for_each_runs_every_item() {
-        use std::sync::atomic::AtomicU64;
-        let sum = AtomicU64::new(0);
-        let items: Vec<u64> = (1..=100).collect();
-        par_for_each(&items, |&i| {
-            sum.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 5050);
     }
 }

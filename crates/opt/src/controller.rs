@@ -266,7 +266,7 @@ pub fn run_schedule_on(
         &LATENCY_MS_EDGES,
         Determinism::BestEffort,
     );
-    let deferred_gauge = sink.gauge("opt.deferred.kwh");
+    let backlog_gauge = sink.gauge("opt.backlog.kwh");
 
     // ---- Optimized run -------------------------------------------------
     let mut pcm = plant.fresh_pcm(cfg);
@@ -367,8 +367,13 @@ pub fn run_schedule_on(
         }
         let p_it_kw = firm_kw + executed_deferrable_kw;
         executed_kwh += p_it_kw * dt_h;
-        let pending_kwh: f64 = backlog.iter().flatten().map(|i| i.kw_slots * dt_h).sum();
-        deferred_gauge.set(pending_kwh);
+        // Folded from +0.0: `Sum` starts at -0.0, so an empty backlog
+        // would read `-0`.
+        let pending_kwh = backlog
+            .iter()
+            .flatten()
+            .fold(0.0, |kwh, i| kwh + i.kw_slots * dt_h);
+        backlog_gauge.set(pending_kwh);
 
         // PCM command from the plan, clamped by the valve model.
         let air = plant.air_temp(p_it_kw * 1000.0);
@@ -575,11 +580,12 @@ mod tests {
 
     #[test]
     fn optimizer_beats_passive_baseline() {
+        let sink = MetricsSink::fresh();
         let out = run_schedule_on(
             &quick_cfg(),
             &square_trace(),
             &Disturbances::default(),
-            &MetricsSink::disabled(),
+            &sink,
         );
         assert!(out.plans > 0, "at least one plan must solve");
         assert_eq!(out.deadline_misses, 0);
@@ -595,6 +601,15 @@ mod tests {
             out.conservation_error_kwh
         );
         assert!(out.deferred_energy_kwh > 0.0, "some work must shift");
+        // The final slot drains the backlog, so the end-of-run gauge
+        // reads +0 (not `-0`).
+        let snap = sink.snapshot(None, None).unwrap().to_string_pretty();
+        assert!(
+            snap.contains("opt.backlog.kwh") && !snap.contains("opt.deferred.kwh"),
+            "{snap}"
+        );
+        let backlog = sink.gauge("opt.backlog.kwh").value();
+        assert_eq!(backlog.to_bits(), 0.0f64.to_bits(), "{backlog}");
     }
 
     #[test]

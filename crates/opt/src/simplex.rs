@@ -91,16 +91,6 @@ pub enum Outcome {
     IterationLimit,
 }
 
-impl Outcome {
-    /// The solution, if optimal.
-    pub fn optimal(&self) -> Option<&Solution> {
-        match self {
-            Outcome::Optimal(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
 impl Lp {
     /// An empty program.
     pub fn new() -> Self {
@@ -145,16 +135,6 @@ impl Lp {
             hi,
         });
         self.rows.len() - 1
-    }
-
-    /// Number of structural variables.
-    pub fn num_vars(&self) -> usize {
-        self.lower.len()
-    }
-
-    /// Number of range rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Solves the program. Deterministic: identical inputs give identical

@@ -136,16 +136,6 @@ impl EnthalpyCurve {
         }
     }
 
-    /// Enthalpy at the solidus (J/g).
-    pub fn solidus_enthalpy(&self) -> JoulesPerGram {
-        JoulesPerGram::new(self.h_sol)
-    }
-
-    /// Enthalpy at the liquidus (J/g).
-    pub fn liquidus_enthalpy(&self) -> JoulesPerGram {
-        JoulesPerGram::new(self.h_liq)
-    }
-
     /// The latent storage available across the transition, J/g — latent heat
     /// plus the mushy-region sensible component.
     pub fn transition_storage(&self) -> JoulesPerGram {

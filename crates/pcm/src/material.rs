@@ -328,12 +328,6 @@ impl PcmMaterial {
         self.bulk_price
     }
 
-    /// Volumetric energy density of the phase change, in J/mL — the figure
-    /// of merit for the limited space inside a server.
-    pub fn volumetric_energy_density(&self) -> f64 {
-        self.heat_of_fusion.value() * self.density.value()
-    }
-
     /// Screens the material against the paper's datacenter deployment
     /// criteria (§2.1): melting temperature in the usable 30–60 °C band,
     /// at least "good" cycle stability, non-corrosive, electrically
@@ -476,15 +470,6 @@ mod tests {
             DollarsPerTon::new(1000.0),
         );
         assert!(m.melting_range_k() >= 0.1);
-    }
-
-    #[test]
-    fn volumetric_density_prefers_salt_hydrates_per_gram_of_space() {
-        // Table 1's tension: salt hydrates store more heat per mL but fail
-        // the suitability screen.
-        let salt = PcmMaterial::salt_hydrate();
-        let wax = PcmMaterial::commercial_paraffin(Celsius::new(45.0));
-        assert!(salt.volumetric_energy_density() > wax.volumetric_energy_density());
     }
 
     #[test]

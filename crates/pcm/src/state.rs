@@ -175,12 +175,6 @@ impl PcmState {
         Joules::new((self.enthalpy.value() - self.enthalpy_ref.value()) * self.mass.value())
     }
 
-    /// Latent storage still available before the wax is fully molten, J.
-    pub fn remaining_latent_capacity(&self) -> Joules {
-        let remaining = (self.curve.liquidus_enthalpy().value() - self.enthalpy.value()).max(0.0);
-        Joules::new(remaining * self.mass.value())
-    }
-
     /// Total latent capacity between solidus and liquidus, J.
     pub fn latent_capacity(&self) -> Joules {
         Joules::new(self.curve.transition_storage().value() * self.mass.value())
@@ -194,24 +188,6 @@ impl PcmState {
     /// The underlying enthalpy curve.
     pub fn curve(&self) -> &EnthalpyCurve {
         &self.curve
-    }
-
-    /// `true` when the wax can currently absorb latent heat (not yet fully
-    /// molten).
-    pub fn can_absorb(&self) -> bool {
-        self.enthalpy < self.curve.liquidus_enthalpy()
-    }
-
-    /// Maximum instantaneous heat the wax can absorb from air at `air_temp`
-    /// through `coupling` — zero once fully molten and at air temperature.
-    pub fn max_absorption_rate(&self, air_temp: Celsius, coupling: WattsPerKelvin) -> Watts {
-        let dt = (air_temp - self.temperature()).value().max(0.0);
-        Watts::new(coupling.value() * dt)
-    }
-
-    /// Resets the wax to thermal equilibrium at `temperature`.
-    pub fn reset_to(&mut self, temperature: Celsius) {
-        self.enthalpy = self.curve.enthalpy_at(temperature);
     }
 }
 
@@ -301,18 +277,17 @@ mod tests {
     }
 
     #[test]
-    fn remaining_capacity_decreases_monotonically_while_melting() {
+    fn enthalpy_rises_monotonically_until_fully_molten() {
         let mut s = state(25.0);
         let g = WattsPerKelvin::new(5.0);
-        let mut prev = s.remaining_latent_capacity().value();
+        let mut prev = s.enthalpy.value();
         for _ in 0..500 {
             s.step(Celsius::new(55.0), g, Seconds::new(60.0));
-            let now = s.remaining_latent_capacity().value();
-            assert!(now <= prev + 1e-9);
+            let now = s.enthalpy.value();
+            assert!(now >= prev);
             prev = now;
         }
-        assert_eq!(prev, 0.0);
-        assert!(!s.can_absorb());
+        assert_eq!(s.melt_fraction(), Fraction::ONE);
     }
 
     #[test]
@@ -328,13 +303,6 @@ mod tests {
             Watts::ZERO
         );
         assert_eq!(s, before);
-    }
-
-    #[test]
-    fn max_absorption_rate_is_zero_when_air_is_cooler() {
-        let s = state(45.0);
-        let r = s.max_absorption_rate(Celsius::new(30.0), WattsPerKelvin::new(5.0));
-        assert_eq!(r, Watts::ZERO);
     }
 
     #[test]
@@ -383,18 +351,6 @@ mod tests {
         );
         assert_eq!(qa, qb);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn reset_restores_equilibrium() {
-        let mut s = state(25.0);
-        s.step(
-            Celsius::new(60.0),
-            WattsPerKelvin::new(5.0),
-            Seconds::new(3600.0),
-        );
-        s.reset_to(Celsius::new(25.0));
-        assert!((s.temperature().value() - 25.0).abs() < 1e-9);
     }
 
     #[test]

@@ -158,15 +158,6 @@ impl ServerWaxCharacteristics {
         Watts::new(self.effective_coupling().value() * dt)
     }
 
-    /// Maximum absorption rate with the server fully loaded and the wax
-    /// mid-melt: `G_eff · (T_loaded_air − T_melt)`.
-    pub fn max_absorption_rate(&self) -> Watts {
-        let dt = (self.loaded_air_temp - self.material.melting_point())
-            .value()
-            .max(0.0);
-        Watts::new(self.effective_coupling().value() * dt)
-    }
-
     /// Re-targets the characteristics at a different melting point,
     /// preserving the thermal geometry (the commercial-paraffin catalogue
     /// spans 40–60 °C; the optimizer picks within it).
@@ -241,7 +232,6 @@ mod tests {
             spec.peak_wall.value()
         );
         assert!(c.max_refreeze_rate().value() > 0.0);
-        assert!(c.max_absorption_rate().value() > 0.0);
     }
 
     #[test]

@@ -85,9 +85,7 @@ pub struct ServerThermalModel {
     // Node handles.
     inlet: NodeId,
     front: NodeId,
-    hot: Vec<NodeId>,
     waxzone: NodeId,
-    bypass: NodeId,
     merge: NodeId,
     cpu_nodes: Vec<NodeId>,
     dram: NodeId,
@@ -230,9 +228,7 @@ impl ServerThermalModel {
             flow_path,
             inlet,
             front,
-            hot,
             waxzone,
-            bypass,
             merge,
             cpu_nodes,
             dram,
@@ -359,13 +355,6 @@ impl ServerThermalModel {
         self.net.temperature(self.cpu_nodes[s])
     }
 
-    /// Hottest socket temperature.
-    pub fn max_cpu_temp(&self) -> Celsius {
-        (0..self.spec.cpu.sockets)
-            .map(|s| self.cpu_temp(s))
-            .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
-    }
-
     /// Wax melt fraction (zero when no wax installed).
     pub fn melt_fraction(&self) -> Fraction {
         self.pcm
@@ -373,31 +362,11 @@ impl ServerThermalModel {
             .unwrap_or(Fraction::ZERO)
     }
 
-    /// Heat currently absorbed by the wax (negative while releasing; zero
-    /// when no wax installed).
-    pub fn wax_heat_flow(&self) -> Watts {
-        self.pcm
-            .map(|id| self.net.pcm_heat_flow(id))
-            .unwrap_or(Watts::ZERO)
-    }
-
-    /// Energy stored in the wax relative to its initial state.
-    pub fn wax_stored_energy(&self) -> Joules {
-        self.pcm
-            .map(|id| self.net.pcm(id).stored_energy())
-            .unwrap_or(Joules::ZERO)
-    }
-
     /// Latent capacity of the installed wax.
     pub fn wax_latent_capacity(&self) -> Joules {
         self.pcm
             .map(|id| self.net.pcm(id).latent_capacity())
             .unwrap_or(Joules::ZERO)
-    }
-
-    /// The wax state, if installed.
-    pub fn pcm_state(&self) -> Option<&PcmState> {
-        self.pcm.map(|id| self.net.pcm(id))
     }
 
     /// Current air-to-wax coupling conductance at this operating point.
@@ -442,30 +411,11 @@ impl ServerThermalModel {
         &self.net
     }
 
-    /// Mutable access for experiment rigs that adjust boundary conditions
-    /// (e.g. changing inlet temperature to model chassis preheat).
-    pub fn network_mut(&mut self) -> &mut ThermalNetwork {
-        &mut self.net
-    }
-
     /// Routes the underlying network's hot-path telemetry (steps, cache
     /// rebuilds, settle iterations) to `sink`; see
     /// [`ThermalNetwork::set_metrics`].
     pub fn set_metrics(&mut self, sink: &tts_obs::MetricsSink) {
         self.net.set_metrics(sink);
-    }
-
-    /// The bypass-lane air temperature.
-    pub fn bypass_air_temp(&self) -> Celsius {
-        self.net.temperature(self.bypass)
-    }
-
-    /// Hot-lane air temperature behind socket `s` (0-based).
-    ///
-    /// # Panics
-    /// Panics if `s` is out of range.
-    pub fn hot_lane_temp(&self, s: usize) -> Celsius {
-        self.net.temperature(self.hot[s])
     }
 }
 
@@ -477,6 +427,13 @@ mod tests {
     fn settle(m: &mut ServerThermalModel) {
         m.run_to_steady_state(Seconds::new(20.0), 1e-5, Seconds::new(5e5))
             .expect("steady state must be reached");
+    }
+
+    /// Hottest socket temperature, °C.
+    fn max_cpu_temp(m: &ServerThermalModel) -> f64 {
+        (0..m.spec().cpu.sockets)
+            .map(|s| m.cpu_temp(s).value())
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     #[test]
@@ -493,7 +450,7 @@ mod tests {
         m.set_load(Fraction::ONE, Fraction::ONE);
         settle(&mut m);
         let loaded_wax_air = m.wax_air_temp().value();
-        let cpu = m.max_cpu_temp().value();
+        let cpu = max_cpu_temp(&m);
         assert!(
             (40.0..55.0).contains(&loaded_wax_air),
             "loaded wax-zone air {loaded_wax_air}"
@@ -623,7 +580,7 @@ mod tests {
         throttled.set_load(Fraction::ONE, spec.cpu.throttle_ratio());
         settle(&mut throttled);
         assert!(
-            throttled.max_cpu_temp().value() < full.max_cpu_temp().value() - 5.0,
+            max_cpu_temp(&throttled) < max_cpu_temp(&full) - 5.0,
             "downclocking must cool the CPUs substantially"
         );
     }
@@ -677,8 +634,6 @@ mod tests {
         let bare = ServerThermalModel::new(ServerSpec::rd330_1u());
         assert!(with_wax.wax_coupling().value() > 1.0);
         assert_eq!(bare.wax_coupling(), WattsPerKelvin::ZERO);
-        assert_eq!(bare.wax_heat_flow(), Watts::ZERO);
         assert_eq!(bare.wax_latent_capacity(), Joules::ZERO);
-        assert!(bare.pcm_state().is_none());
     }
 }

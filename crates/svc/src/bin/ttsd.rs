@@ -74,16 +74,16 @@ fn daemon(args: &[String]) -> i32 {
             "--workers" => config.workers = parse_count("--workers", &value("--workers")),
             "--queue" => config.queue_cap = parse_count("--queue", &value("--queue")),
             "--threads" => threads = Some(parse_count("--threads", &value("--threads"))),
-            "--budget" => config.budget = parse_count("--budget", &value("--budget")),
-            "--max-jobs" => config.max_jobs = parse_count("--max-jobs", &value("--max-jobs")),
+            "--budget" => config.app.budget = parse_count("--budget", &value("--budget")),
+            "--max-jobs" => config.app.max_jobs = parse_count("--max-jobs", &value("--max-jobs")),
             "--cache-mb" => {
-                config.cache_cap_bytes =
+                config.app.cache_cap_bytes =
                     parse_count("--cache-mb", &value("--cache-mb")) * 1024 * 1024;
             }
-            "--cache-dir" => config.cache_dir = Some(value("--cache-dir").into()),
+            "--cache-dir" => config.app.cache_dir = Some(value("--cache-dir").into()),
             "--port-file" => port_file = Some(value("--port-file")),
             "--metrics-out" => config.metrics_out = Some(value("--metrics-out").into()),
-            "--debug" => config.debug = true,
+            "--debug" => config.app.debug = true,
             "--no-stdin-watch" => stdin_watch = false,
             other => usage_error(&format!("unknown flag {other:?}")),
         }

@@ -183,13 +183,6 @@ impl RequestParser {
         }
     }
 
-    /// Total bytes fed so far (used to distinguish an idle close from a
-    /// truncated request).
-    #[must_use]
-    pub fn bytes_fed(&self) -> usize {
-        self.consumed
-    }
-
     /// Whether the parser is holding a partially received request: a
     /// non-empty head buffer or an unfinished body. A peer that closes
     /// (or goes idle) while this is `true` abandoned a request mid-flight;

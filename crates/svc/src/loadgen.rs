@@ -28,6 +28,7 @@ use tts_obs::{Determinism, MetricsSink, LATENCY_MS_EDGES};
 use tts_units::json::Json;
 
 use crate::http::ChunkedDecoder;
+use crate::router::AppConfig;
 use crate::server::{Server, ServerConfig};
 
 /// A parsed wire response.
@@ -443,8 +444,11 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
     let server = Server::bind(
         ServerConfig {
             workers: cfg.workers.max(2),
-            budget: cfg.workers.max(2),
             queue_cap: 256,
+            app: AppConfig {
+                budget: cfg.workers.max(2),
+                ..AppConfig::default()
+            },
             ..ServerConfig::default()
         },
         MetricsSink::fresh(),

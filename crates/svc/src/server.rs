@@ -57,25 +57,15 @@ pub struct ServerConfig {
     /// Requests served per connection before the server closes it (a
     /// fairness bound: one chatty peer cannot pin a worker forever).
     pub max_requests_per_conn: usize,
-    /// Worker-thread budget the run scheduler partitions (0 = auto).
-    pub budget: usize,
-    /// Bound on synchronous runs waiting for a lease (beyond: `429`).
-    pub sched_queue: usize,
-    /// Bound on queued-or-running async jobs (beyond: `429`).
-    pub max_jobs: usize,
-    /// Result-cache byte cap (0 = unbounded).
-    pub cache_cap_bytes: usize,
-    /// Result-cache persistence directory (`None` = memory only).
-    pub cache_dir: Option<PathBuf>,
-    /// Enables `/debug/sleep` (test instrumentation).
-    pub debug: bool,
+    /// The application knobs: scheduler budget and queue, job bound,
+    /// result cache, debug endpoints.
+    pub app: AppConfig,
     /// Where the final full metrics snapshot lands on shutdown.
     pub metrics_out: Option<PathBuf>,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let app = AppConfig::default();
         Self {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
@@ -84,28 +74,8 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(5),
             max_requests_per_conn: 1024,
-            budget: app.budget,
-            sched_queue: app.sched_queue,
-            max_jobs: app.max_jobs,
-            cache_cap_bytes: app.cache_cap_bytes,
-            cache_dir: None,
-            debug: false,
+            app: AppConfig::default(),
             metrics_out: None,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// The application knobs carried by this server config.
-    #[must_use]
-    pub fn app_config(&self) -> AppConfig {
-        AppConfig {
-            debug: self.debug,
-            budget: self.budget,
-            sched_queue: self.sched_queue,
-            max_jobs: self.max_jobs,
-            cache_cap_bytes: self.cache_cap_bytes,
-            cache_dir: self.cache_dir.clone(),
         }
     }
 }
@@ -163,7 +133,7 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let shutdown = ShutdownHandle::new();
         shutdown.attach(listener.local_addr()?);
-        let app = Arc::new(App::new(sink, shutdown.clone(), config.app_config()));
+        let app = Arc::new(App::new(sink, shutdown.clone(), config.app.clone()));
         Ok(Self {
             listener,
             app,

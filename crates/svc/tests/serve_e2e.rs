@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use thermal_time_shifting::experiment::{self, ExecCtx};
+use thermal_time_shifting::experiment::{self, ExecCtx, Params};
 use tts_obs::MetricsSink;
 use tts_svc::loadgen::WireClient;
 use tts_svc::router::App;
@@ -115,7 +115,7 @@ fn fig7_is_byte_identical_cold_cached_and_across_thread_pins() {
     // `results/fig7.summary.json`.
     let exp = experiment::find("fig7").expect("fig7 registered");
     let reference = exp
-        .emit_json(&exp.run(&ExecCtx::disabled()))
+        .emit_json(&exp.run(&ExecCtx::disabled(), &Params::default()))
         .to_string_pretty()
         .into_bytes();
 
@@ -239,12 +239,13 @@ fn wire_level_rejections_cover_the_status_table() {
 // the amount is irrelevant by design.
 #[allow(clippy::unused_io_amount)]
 fn full_queue_backpressure_answers_503_with_retry_after() {
-    let server = Running::start(ServerConfig {
+    let mut config = ServerConfig {
         workers: 1,
         queue_cap: 1,
-        debug: true,
         ..ServerConfig::default()
-    });
+    };
+    config.app.debug = true;
+    let server = Running::start(config);
     let addr = server.addr;
     // Occupy the only worker (retrying in case a stray rejection races
     // the first attempt).
@@ -311,12 +312,13 @@ fn full_queue_backpressure_answers_503_with_retry_after() {
 fn graceful_shutdown_drains_in_flight_work_and_flushes_metrics() {
     let metrics_path = unique_temp_path("drain");
     let _ = std::fs::remove_file(&metrics_path);
-    let server = Running::start(ServerConfig {
+    let mut config = ServerConfig {
         workers: 2,
-        debug: true,
         metrics_out: Some(metrics_path.clone()),
         ..ServerConfig::default()
-    });
+    };
+    config.app.debug = true;
+    let server = Running::start(config);
     let addr = server.addr;
     // In-flight work on one worker…
     let slow = std::thread::spawn(move || get(addr, "/debug/sleep?ms=700"));
@@ -416,10 +418,9 @@ fn job_id(body: &[u8]) -> u64 {
 
 #[test]
 fn job_lifecycle_streams_progress_and_matches_sync_bytes() {
-    let server = Running::start(ServerConfig {
-        budget: 2,
-        ..ServerConfig::default()
-    });
+    let mut config = ServerConfig::default();
+    config.app.budget = 2;
+    let server = Running::start(config);
     // The reference: what the synchronous endpoint (and `repro`) would
     // file for the same scenario.
     let exp = experiment::find("dcsim").expect("dcsim registered");
@@ -485,10 +486,9 @@ fn job_lifecycle_streams_progress_and_matches_sync_bytes() {
 
 #[test]
 fn job_cancellation_mid_run_is_prompt() {
-    let server = Running::start(ServerConfig {
-        budget: 2,
-        ..ServerConfig::default()
-    });
+    let mut config = ServerConfig::default();
+    config.app.budget = 2;
+    let server = Running::start(config);
     let submitted = post(
         server.addr,
         "/v1/jobs",
@@ -544,10 +544,9 @@ fn job_cancellation_mid_run_is_prompt() {
 
 #[test]
 fn two_experiments_progress_simultaneously_under_a_split_budget() {
-    let server = Running::start(ServerConfig {
-        budget: 2,
-        ..ServerConfig::default()
-    });
+    let mut config = ServerConfig::default();
+    config.app.budget = 2;
+    let server = Running::start(config);
     let addr = server.addr;
     // Distinct seeds → distinct scenarios: neither can ride the other's
     // cache entry, so both must actually run. Each pins one thread, so
@@ -613,7 +612,7 @@ fn responses_are_byte_identical_across_budget_splits_and_thread_pins() {
     // The reference bytes, computed once outside any server.
     let exp = experiment::find("fig7").expect("fig7 registered");
     let reference = exp
-        .emit_json(&exp.run(&ExecCtx::disabled()))
+        .emit_json(&exp.run(&ExecCtx::disabled(), &Params::default()))
         .to_string_pretty()
         .into_bytes();
 
@@ -621,10 +620,9 @@ fn responses_are_byte_identical_across_budget_splits_and_thread_pins() {
     // request pins TTS-level thread counts 1/4/8. Every combination
     // must produce the same bytes — only latency may differ.
     for budget in [1usize, 3] {
-        let server = Running::start(ServerConfig {
-            budget,
-            ..ServerConfig::default()
-        });
+        let mut config = ServerConfig::default();
+        config.app.budget = budget;
+        let server = Running::start(config);
         for threads in [1usize, 4, 8] {
             let resp = post(
                 server.addr,

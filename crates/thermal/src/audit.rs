@@ -6,7 +6,6 @@
 //! runs; server-model construction is tested against it.
 
 use crate::network::ThermalNetwork;
-use crate::steady::solve_steady_state;
 
 /// A structural problem found in a network.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,32 +114,6 @@ pub fn audit(net: &ThermalNetwork) -> Vec<AuditFinding> {
     findings
 }
 
-/// The residual of the global steady-state energy balance: total injected
-/// power minus heat crossing into boundaries at the directly-solved
-/// equilibrium, W. Near zero for a sound network.
-pub fn steady_state_residual(net: &ThermalNetwork) -> Option<f64> {
-    let steady = solve_steady_state(net)?;
-    let n = net.node_count();
-    let mut into_boundaries = 0.0;
-    for b in (0..n).filter(|&i| net.is_boundary_index(i)) {
-        let t_b = net.temperature_index(b);
-        for (j, g) in net.conductance_neighbors(b) {
-            into_boundaries += g * (steady.temperature(raw(j, net)).value() - t_b);
-        }
-        for (j, mcp) in net.advection_inflows(b) {
-            // Enthalpy delivered relative to this boundary's temperature.
-            into_boundaries += mcp * (steady.temperature(raw(j, net)).value() - t_b);
-        }
-    }
-    let injected: f64 = (0..n).map(|i| net.power_index(i)).sum();
-    Some(injected - into_boundaries)
-}
-
-/// Rebuilds a `NodeId` from a raw index (audit-internal).
-fn raw(i: usize, _net: &ThermalNetwork) -> crate::network::NodeId {
-    crate::network::NodeId::from_index(i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,8 +131,6 @@ mod tests {
         net.connect(cpu, air, WattsPerKelvin::new(2.0));
         net.set_power(cpu, Watts::new(50.0));
         assert!(audit(&net).is_empty());
-        let residual = steady_state_residual(&net).unwrap();
-        assert!(residual.abs() < 1e-6, "residual {residual}");
     }
 
     #[test]

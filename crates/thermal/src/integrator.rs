@@ -91,15 +91,6 @@ where
     }
 }
 
-/// One RK4 step with freshly allocated scratch. Convenience wrapper over
-/// [`rk4_step_with`] for cold paths and tests.
-pub fn rk4_step<F>(f: F, y: &mut [f64], t: f64, dt: f64)
-where
-    F: Fn(f64, &[f64], &mut [f64]),
-{
-    rk4_step_with(f, y, t, dt, &mut Rk4Scratch::default());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,8 +101,9 @@ mod tests {
         let mut y = vec![1.0];
         let mut t = 0.0;
         let dt = 0.05;
+        let mut scratch = Rk4Scratch::default();
         while t < 1.0 - 1e-9 {
-            rk4_step(|_, y, d| d[0] = -y[0], &mut y, t, dt);
+            rk4_step_with(|_, y, d| d[0] = -y[0], &mut y, t, dt, &mut scratch);
             t += dt;
         }
         assert!((y[0] - (-1.0f64).exp()).abs() < 1e-7, "{}", y[0]);
@@ -123,8 +115,9 @@ mod tests {
         let mut y = vec![1.0, 0.0];
         let dt = 0.01;
         let mut t = 0.0;
+        let mut scratch = Rk4Scratch::default();
         for _ in 0..628 {
-            rk4_step(
+            rk4_step_with(
                 |_, y, d| {
                     d[0] = y[1];
                     d[1] = -y[0];
@@ -132,6 +125,7 @@ mod tests {
                 &mut y,
                 t,
                 dt,
+                &mut scratch,
             );
             t += dt;
         }
@@ -172,7 +166,7 @@ mod tests {
                 }
                 None => {
                     for _ in 0..20 {
-                        rk4_step(
+                        rk4_step_with(
                             |_, y, d| {
                                 d[0] = -y[0] + y[1];
                                 d[1] = -y[1];
@@ -180,6 +174,7 @@ mod tests {
                             &mut y,
                             t,
                             dt,
+                            &mut Rk4Scratch::default(),
                         );
                         t += dt;
                     }

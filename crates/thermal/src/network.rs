@@ -36,11 +36,6 @@ impl NodeId {
     pub(crate) fn index(self) -> usize {
         self.0
     }
-
-    /// Rebuilds a handle from a raw index (crate-internal).
-    pub(crate) fn from_index(i: usize) -> Self {
-        NodeId(i)
-    }
 }
 
 /// Handle to a PCM element attached to a network node.
@@ -354,11 +349,6 @@ impl ThermalNetwork {
         Celsius::new(self.nodes[node.0].temp)
     }
 
-    /// Node name (for reporting).
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0].name
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -373,11 +363,6 @@ impl ThermalNetwork {
     /// melting/absorbing).
     pub fn pcm_heat_flow(&self, id: PcmId) -> Watts {
         Watts::new(self.pcm[id.0].last_heat)
-    }
-
-    /// Total heat currently absorbed by all PCM elements (W, last step).
-    pub fn total_pcm_heat_flow(&self) -> Watts {
-        Watts::new(self.pcm.iter().map(|p| p.last_heat).sum())
     }
 
     /// Simulation time.
@@ -1202,8 +1187,8 @@ mod tests {
     #[test]
     fn node_names_are_preserved() {
         let mut net = ThermalNetwork::new();
-        let n = net.add_air("behind socket 2", Celsius::new(25.0));
-        assert_eq!(net.node_name(n), "behind socket 2");
+        net.add_air("behind socket 2", Celsius::new(25.0));
+        assert_eq!(net.node_name_index(0), "behind socket 2");
         assert_eq!(net.node_count(), 1);
     }
 }

@@ -238,8 +238,11 @@ pub trait Experiment {
     /// The dispatch name (`repro <name>`).
     fn name(&self) -> &'static str;
 
-    /// Runs the experiment, reporting telemetry into `ctx`.
-    fn run(&self, ctx: &ExecCtx) -> Figure;
+    /// Runs the experiment, reporting telemetry into `ctx`. Every unset
+    /// field of `params` takes the experiment's default, and every set
+    /// one is assumed to be in [`Self::schema`]; [`Self::run_with`]
+    /// checks that first.
+    fn run(&self, ctx: &ExecCtx, params: &Params) -> Figure;
 
     /// The declarative schema of [`Params`] this experiment honours —
     /// names, value domains, defaults, and docs, all from one source of
@@ -254,7 +257,7 @@ pub trait Experiment {
     /// here — the caller owns the executor (see [`Params`]).
     fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
         params.ensure_only(self.schema())?;
-        Ok(self.run(ctx))
+        Ok(self.run(ctx, params))
     }
 
     /// Serializes a figure's machine-readable face: name, title, headline
@@ -326,7 +329,7 @@ impl Experiment for Table1Pcms {
         "table1"
     }
 
-    fn run(&self, _ctx: &ExecCtx) -> Figure {
+    fn run(&self, _ctx: &ExecCtx, _params: &Params) -> Figure {
         let yesno = |b: bool| if b { "Yes" } else { "No" }.to_string();
         let rows: Vec<Vec<String>> = experiments::table1()
             .iter()
@@ -376,7 +379,7 @@ impl Experiment for Fig1Concept {
         "fig1"
     }
 
-    fn run(&self, _ctx: &ExecCtx) -> Figure {
+    fn run(&self, _ctx: &ExecCtx, _params: &Params) -> Figure {
         let (t, no_wax, with_wax) = experiments::concept_figure();
         let chart = ascii_chart(
             &[("heat output", &no_wax), ("cooling load w/ PCM", &with_wax)],
@@ -410,7 +413,7 @@ impl Experiment for Fig4Validation {
         "fig4"
     }
 
-    fn run(&self, _ctx: &ExecCtx) -> Figure {
+    fn run(&self, _ctx: &ExecCtx, _params: &Params) -> Figure {
         let r = experiments::fig4();
         let chart = ascii_chart(
             &[
@@ -475,7 +478,7 @@ impl Experiment for Fig7Blockage {
         "fig7"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
+    fn run(&self, ctx: &ExecCtx, _params: &Params) -> Figure {
         let mut fig = Figure::new("fig7", "Figure 7: temperatures vs. airflow blockage");
         fig.markdown
             .push_str("## Figure 7 — airflow blockage sweeps\n\n");
@@ -540,7 +543,7 @@ impl Experiment for Fig10Trace {
         "fig10"
     }
 
-    fn run(&self, _ctx: &ExecCtx) -> Figure {
+    fn run(&self, _ctx: &ExecCtx, _params: &Params) -> Figure {
         let trace = experiments::fig10();
         let total = trace.total();
         let pct: Vec<f64> = total.values().iter().map(|v| v * 100.0).collect();
@@ -568,25 +571,15 @@ impl Experiment for Fig11CoolingLoad {
         "fig11"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, None, None)
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::FIG11
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
-        Ok(self.render(ctx, params.servers, params.melt_temp_c))
-    }
-}
-
-impl Fig11CoolingLoad {
     /// The study at an optional cluster size and/or fixed melting point
     /// (defaults: the paper's 1008 servers, catalogue grid search).
-    fn render(&self, ctx: &ExecCtx, servers: Option<usize>, melt_temp_c: Option<f64>) -> Figure {
-        let melt = melt_temp_c.map(tts_units::Celsius::new);
+    fn run(&self, ctx: &ExecCtx, params: &Params) -> Figure {
+        let servers = params.servers;
+        let melt = params.melt_temp_c.map(tts_units::Celsius::new);
         let mut fig = Figure::new(
             "fig11",
             "Figure 11: cluster cooling load, fully subscribed cooling",
@@ -649,7 +642,7 @@ impl Experiment for Fig12Constrained {
         "fig12"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
+    fn run(&self, ctx: &ExecCtx, _params: &Params) -> Figure {
         let mut fig = Figure::new(
             "fig12",
             "Figure 12: throughput in a thermally constrained datacenter",
@@ -709,7 +702,7 @@ impl Experiment for Table2Params {
         "table2"
     }
 
-    fn run(&self, _ctx: &ExecCtx) -> Figure {
+    fn run(&self, _ctx: &ExecCtx, _params: &Params) -> Figure {
         let t = experiments::table2();
         let rows = [
             (
@@ -759,11 +752,11 @@ impl Experiment for TcoAnalyses {
         "tco"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
+    fn run(&self, ctx: &ExecCtx, _params: &Params) -> Figure {
         // The analyses consume only the headline scalars, handed over
         // through the figures' key/value surface.
-        let fig11 = Fig11CoolingLoad.run(ctx);
-        let fig12 = Fig12Constrained.run(ctx);
+        let fig11 = Fig11CoolingLoad.run(ctx, &Params::default());
+        let fig12 = Fig12Constrained.run(ctx, &Params::default());
         let mut fig = Figure::new("tco", "TCO analyses (§5.1/§5.2)");
         fig.markdown.push_str("## TCO analyses\n\n");
         for class in ServerClass::ALL {
@@ -817,24 +810,15 @@ impl Experiment for DcsimQos {
         "dcsim"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, 17, 32)
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::DCSIM
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
-        Ok(self.render(ctx, params.seed.unwrap_or(17), params.servers.unwrap_or(32)))
-    }
-}
-
-impl DcsimQos {
-    /// The simulation at an explicit job-stream seed and cluster size
-    /// (defaults: seed 17, 32 servers).
-    fn render(&self, ctx: &ExecCtx, seed: u64, servers: usize) -> Figure {
+    /// The simulation at a job-stream seed and cluster size (defaults:
+    /// seed 17, 32 servers).
+    fn run(&self, ctx: &ExecCtx, params: &Params) -> Figure {
+        let seed = params.seed.unwrap_or(17);
+        let servers = params.servers.unwrap_or(32);
         let trace = GoogleTrace::default_two_day();
         let jobs =
             JobStream::new(trace.total().clone(), JobType::MapReduce, servers, seed).collect_all();
@@ -903,16 +887,12 @@ impl Experiment for ChaosBatch {
         "chaos"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, tts_chaos::BatchConfig::default())
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::CHAOS
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
+    /// Runs the batch and renders the roll-up.
+    fn run(&self, ctx: &ExecCtx, params: &Params) -> Figure {
         let mut cfg = tts_chaos::BatchConfig::default();
         if let Some(seed) = params.seed {
             cfg.base_seed = seed;
@@ -923,15 +903,6 @@ impl Experiment for ChaosBatch {
         if let Some(servers) = params.servers {
             cfg.scenario.servers = servers;
         }
-        Ok(self.render(ctx, cfg))
-    }
-}
-
-impl ChaosBatch {
-    /// Runs the batch and renders the roll-up. The summary JSON is
-    /// byte-deterministic at any thread count, so it ships as an
-    /// artifact the CI gate can `cmp`.
-    fn render(&self, ctx: &ExecCtx, cfg: tts_chaos::BatchConfig) -> Figure {
         let summary = tts_chaos::run_batch(&cfg);
         ctx.sink()
             .counter("chaos.scenarios")
@@ -977,8 +948,6 @@ impl ChaosBatch {
             ("violations".into(), summary.violations().len() as f64),
             ("failing_seeds".into(), summary.failing_seeds.len() as f64),
         ];
-        fig.artifacts
-            .push(("chaos.summary.json".into(), summary.to_json()));
         fig
     }
 }
@@ -1007,25 +976,14 @@ impl Experiment for FleetScale {
         "fleet"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, &Params::default())
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::FLEET
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
-        Ok(self.render(ctx, params))
-    }
-}
-
-impl FleetScale {
     /// Runs the fleet (defaults: 1,000,000 servers over 4 catalogue
     /// sites, 256 shards, seed 42, the full two-day trace) and renders
     /// the per-site economics table.
-    fn render(&self, ctx: &ExecCtx, params: &Params) -> Figure {
+    fn run(&self, ctx: &ExecCtx, params: &Params) -> Figure {
         let servers = params.servers.unwrap_or(1_000_000);
         let sites = params.datacenters.unwrap_or(4).min(FLEET_SITES.len());
         let trace = GoogleTrace::default_two_day().total().clone();
@@ -1146,25 +1104,14 @@ impl Experiment for ScheduleOpt {
         "schedule"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, &Params::default())
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::SCHEDULE
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
-        Ok(self.render(ctx, params))
-    }
-}
-
-impl ScheduleOpt {
     /// Runs the co-optimizer (defaults: the paper's 1008 servers, 24 h
     /// horizon + 3 h extension, 15-min slots, four delay classes) and
     /// renders the optimized-vs-passive comparison.
-    fn render(&self, ctx: &ExecCtx, params: &Params) -> Figure {
+    fn run(&self, ctx: &ExecCtx, params: &Params) -> Figure {
         let mut cfg = tts_opt::ScheduleConfig::default();
         if let Some(seed) = params.seed {
             cfg.seed = seed;
@@ -1276,22 +1223,11 @@ impl Experiment for DesignSearch {
         "design"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, &Params::default())
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::DESIGN
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
-        Ok(self.render(ctx, params))
-    }
-}
-
-impl DesignSearch {
-    fn render(&self, ctx: &ExecCtx, params: &Params) -> Figure {
+    fn run(&self, ctx: &ExecCtx, params: &Params) -> Figure {
         use crate::design::{self, SearchConfig, Strategy};
         use tts_dcsim::cluster::default_melting_candidates;
 
@@ -1510,24 +1446,13 @@ impl Experiment for Scenarios {
         "scenarios"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, &Params::default())
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::SCENARIOS
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
-        Ok(self.render(ctx, params))
-    }
-}
-
-impl Scenarios {
     /// Runs the matrix (defaults: all 3 sites × all 3 backends × all 4
     /// traces, weather seed 42) and renders the per-cell TCO deltas.
-    fn render(&self, ctx: &ExecCtx, params: &Params) -> Figure {
+    fn run(&self, ctx: &ExecCtx, params: &Params) -> Figure {
         let mut cfg = crate::scenarios::MatrixConfig::default();
         if let Some(sites) = params.sites {
             cfg.sites = sites;
@@ -1633,7 +1558,7 @@ impl Experiment for ExtensionStudies {
         "extensions"
     }
 
-    fn run(&self, _ctx: &ExecCtx) -> Figure {
+    fn run(&self, _ctx: &ExecCtx, _params: &Params) -> Figure {
         use crate::extensions::*;
         let class = ServerClass::LowPower1U;
         let mut fig = Figure::new("extensions", "Extension studies (beyond the paper)");
@@ -1758,7 +1683,7 @@ mod tests {
     #[test]
     fn dcsim_experiment_reports_qos_and_flushes() {
         let ctx = ExecCtx::with_metrics();
-        let fig = DcsimQos.run(&ctx);
+        let fig = DcsimQos.run(&ctx, &Params::default());
         assert!(fig.key_value("completed").expect("completed") > 1000.0);
         assert!(fig.key_value("cluster_utilization").expect("util") > 0.2);
         // Two simulated days at a six-hour flush cadence.
@@ -1787,9 +1712,14 @@ mod tests {
         use tts_units::json::parse;
         let all = crate::params::ALL;
         let p = Params::from_json(&parse(r#"{"threads":4,"seed":99}"#).unwrap(), all).unwrap();
-        assert_eq!(p.threads, Some(4));
-        assert_eq!(p.seed, Some(99));
-        assert_eq!(p.set_fields(), vec!["threads", "seed"]);
+        assert_eq!(
+            p,
+            Params {
+                threads: Some(4),
+                seed: Some(99),
+                ..Params::default()
+            }
+        );
         let empty = Params::from_json(&parse("{}").unwrap(), all).unwrap();
         assert_eq!(empty, Params::default());
         for bad in [
@@ -1841,36 +1771,46 @@ mod tests {
         assert!(fig.key_value("plans").expect("plans") > 0.0);
         assert_eq!(fig.key_value("deadline_misses"), Some(0.0));
         assert!(fig.key_value("savings_usd").expect("savings") > 0.0);
-        // The fleet engine's shard count means nothing to the scheduler.
-        let err = ScheduleOpt
-            .run_with(
-                &ctx,
-                &Params {
-                    shards: Some(8),
-                    ..Params::default()
-                },
-            )
-            .unwrap_err();
-        assert!(err.contains("shards"), "{err}");
     }
 
     #[test]
-    fn run_with_rejects_unsupported_params() {
+    fn every_experiment_rejects_a_foreign_param_before_running() {
+        // The schema check runs before the experiment does, so even the
+        // million-server fleet refuses a foreign knob instantly.
         let ctx = ExecCtx::disabled();
-        let seeded = Params {
-            seed: Some(1),
+        let shards = Params {
+            shards: Some(8),
             ..Params::default()
         };
-        // fig7 only honours `threads`; a seed must be refused, not ignored.
-        let err = Fig7Blockage.run_with(&ctx, &seeded).unwrap_err();
-        assert!(err.contains("seed"), "{err}");
-        // Defaulted run_with matches plain run byte-for-byte.
-        let via_params = Fig7Blockage.run_with(&ctx, &Params::default()).unwrap();
-        let direct = Fig7Blockage.run(&ctx);
-        assert_eq!(
-            Fig7Blockage.emit_json(&via_params).to_string_pretty(),
-            Fig7Blockage.emit_json(&direct).to_string_pretty()
-        );
+        let budget = Params {
+            budget: Some(7),
+            ..Params::default()
+        };
+        for exp in registry() {
+            let (foreign, params) = if exp.name() == "fleet" {
+                ("budget", &budget)
+            } else {
+                ("shards", &shards)
+            };
+            let err = exp.run_with(&ctx, params).unwrap_err();
+            assert!(
+                err.starts_with(&format!("parameter {foreign:?} is not supported")),
+                "{}: {err}",
+                exp.name()
+            );
+        }
+    }
+
+    #[test]
+    fn chaos_emits_no_artifact_outside_results() {
+        let params = Params {
+            seeds: Some(1),
+            ..Params::default()
+        };
+        let fig = ChaosBatch.run_with(&ExecCtx::disabled(), &params).unwrap();
+        for (path, _) in &fig.artifacts {
+            assert!(path.starts_with("results/"), "{path}");
+        }
     }
 
     #[test]
@@ -1916,17 +1856,6 @@ mod tests {
         let util = fig.key_value("mean_utilization").expect("util");
         assert!((0.0..=1.0).contains(&util), "{util}");
         assert!(fig.text.contains("us-east") && fig.text.contains("eu-north"));
-        // The wax melting point means nothing to the fleet engine.
-        let err = FleetScale
-            .run_with(
-                &ctx,
-                &Params {
-                    melt_temp_c: Some(50.0),
-                    ..Params::default()
-                },
-            )
-            .unwrap_err();
-        assert!(err.contains("melt_temp_c"), "{err}");
     }
 
     #[test]
@@ -1949,17 +1878,6 @@ mod tests {
         assert!(fig
             .key_value("delta_usd.temperate.chiller.diurnal")
             .is_some());
-        // The fleet engine's shard count means nothing to the matrix.
-        let err = Scenarios
-            .run_with(
-                &ctx,
-                &Params {
-                    shards: Some(8),
-                    ..Params::default()
-                },
-            )
-            .unwrap_err();
-        assert!(err.contains("shards"), "{err}");
     }
 
     #[test]

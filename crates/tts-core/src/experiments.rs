@@ -7,7 +7,7 @@
 
 use tts_dcsim::datacenter::Datacenter;
 use tts_obs::MetricsSink;
-use tts_pcm::{PcmMaterial, Stability};
+use tts_pcm::PcmMaterial;
 use tts_server::blockage::{default_sweep_with, BlockageRow};
 use tts_server::validation::{self, ValidationConfig, ValidationResult};
 use tts_server::ServerClass;
@@ -94,14 +94,6 @@ pub fn table1() -> Vec<Table1Row> {
             datacenter_suitable: m.is_datacenter_suitable(),
         })
         .collect()
-}
-
-/// Sanity check reused by the harness: only paraffins pass the screen.
-pub fn table1_screen_matches_paper() -> bool {
-    PcmMaterial::table1().iter().all(|m| {
-        let paraffin = m.stability() >= Stability::VeryGood && !m.corrosive();
-        m.is_datacenter_suitable() == paraffin
-    })
 }
 
 /// Figure 4: the model-validation experiment (§3).
@@ -362,12 +354,17 @@ pub fn concept_figure() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tts_pcm::Stability;
 
     #[test]
     fn table1_has_paper_rows_and_screen() {
         let rows = table1();
         assert_eq!(rows.len(), 5);
-        assert!(table1_screen_matches_paper());
+        // Only the paraffins pass the datacenter screen.
+        for m in PcmMaterial::table1() {
+            let paraffin = m.stability() >= Stability::VeryGood && !m.corrosive();
+            assert_eq!(m.is_datacenter_suitable(), paraffin, "{}", m.name());
+        }
         assert!(rows.iter().any(|r| r.name.contains("Paraffin")));
     }
 

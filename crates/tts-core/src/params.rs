@@ -374,8 +374,8 @@ pub const TRACES: ParamSpec = ParamSpec {
     get: |p| p.traces.map(|v| v as f64),
 };
 
-/// Every spec, in canonical order — the universe [`Params::set_fields`]
-/// and [`Params::ensure_only`] scan.
+/// Every spec, in canonical order — the universe [`Params::ensure_only`]
+/// scans.
 pub const ALL: &[ParamSpec] = &[
     THREADS,
     SEED,
@@ -497,14 +497,6 @@ impl Params {
         Ok(p)
     }
 
-    /// Names of the parameters that are actually set, in [`ALL`] order.
-    pub fn set_fields(&self) -> Vec<&'static str> {
-        ALL.iter()
-            .filter(|s| (s.get)(self).is_some())
-            .map(|s| s.name)
-            .collect()
-    }
-
     /// Errors unless every set parameter is in `schema` — the guard
     /// behind the default
     /// [`crate::experiment::Experiment::run_with`], protecting embedders
@@ -544,7 +536,12 @@ mod tests {
                 "{} does not round-trip",
                 spec.name
             );
-            assert_eq!(p.set_fields(), vec![spec.name]);
+            let set: Vec<&str> = ALL
+                .iter()
+                .filter(|s| (s.get)(&p).is_some())
+                .map(|s| s.name)
+                .collect();
+            assert_eq!(set, vec![spec.name]);
         }
     }
 

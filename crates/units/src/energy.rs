@@ -89,12 +89,6 @@ impl KiloWatts {
     pub fn watts(self) -> Watts {
         Watts::new(self.value() * 1e3)
     }
-
-    /// Converts to megawatts.
-    #[inline]
-    pub fn megawatts(self) -> MegaWatts {
-        MegaWatts::new(self.value() / 1e3)
-    }
 }
 
 impl MegaWatts {
@@ -123,14 +117,6 @@ impl Joules {
     #[inline]
     pub fn kilowatt_hours(self) -> KilowattHours {
         KilowattHours::new(self.value() / 3.6e6)
-    }
-}
-
-impl KilowattHours {
-    /// Converts to joules.
-    #[inline]
-    pub fn joules(self) -> Joules {
-        Joules::new(self.value() * 3.6e6)
     }
 }
 
@@ -185,14 +171,11 @@ mod tests {
         assert_eq!(mw.watts().value(), 1e7);
         assert_eq!(Watts::new(1500.0).kilowatts().value(), 1.5);
         assert_eq!(KiloWatts::new(1.5).watts().value(), 1500.0);
-        assert_eq!(KiloWatts::new(2500.0).megawatts().value(), 2.5);
     }
 
     #[test]
-    fn kwh_joules_round_trip() {
-        let e = KilowattHours::new(2.0);
-        assert_eq!(e.joules().value(), 7.2e6);
-        assert_eq!(Joules::new(7.2e6).kilowatt_hours(), e);
+    fn joules_to_kwh() {
+        assert_eq!(Joules::new(7.2e6).kilowatt_hours(), KilowattHours::new(2.0));
     }
 
     #[test]

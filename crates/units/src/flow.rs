@@ -1,6 +1,4 @@
-//! Airflow quantities: volumetric flow, velocity, pressure, mass flow.
-
-use crate::AIR_DENSITY_KG_M3;
+//! Airflow quantities: volumetric flow, velocity, pressure.
 
 quantity!(
     /// Volumetric airflow, in cubic meters per second.
@@ -20,12 +18,6 @@ quantity!(
     "Pa"
 );
 
-quantity!(
-    /// Mass flow rate, in kilograms per second.
-    KilogramsPerSecond,
-    "kg/s"
-);
-
 impl CubicMetersPerSecond {
     /// Converts from cubic feet per minute, the unit server fan datasheets
     /// use (1 CFM = 0.000471947 m³/s).
@@ -40,32 +32,10 @@ impl CubicMetersPerSecond {
         self.value() / 0.000_471_947_443
     }
 
-    /// Air mass flow at standard density.
-    #[inline]
-    pub fn mass_flow(self) -> KilogramsPerSecond {
-        KilogramsPerSecond::new(self.value() * AIR_DENSITY_KG_M3)
-    }
-
     /// Mean velocity through a duct cross-section of the given area (m²).
     #[inline]
     pub fn velocity_through(self, area_m2: f64) -> MetersPerSecond {
         MetersPerSecond::new(self.value() / area_m2)
-    }
-}
-
-impl MetersPerSecond {
-    /// Converts from linear feet per minute (server datasheet unit;
-    /// 1 LFM = 0.00508 m/s). The Open Compute chassis in the paper draws
-    /// "less than 200 linear feet per minute at the rear of the blade".
-    #[inline]
-    pub fn from_lfm(lfm: f64) -> Self {
-        Self::new(lfm * 0.00508)
-    }
-
-    /// Converts to linear feet per minute.
-    #[inline]
-    pub fn lfm(self) -> f64 {
-        self.value() / 0.00508
     }
 }
 
@@ -79,19 +49,6 @@ mod tests {
         let f = CubicMetersPerSecond::from_cfm(100.0);
         assert!((f.value() - 0.0471947443).abs() < 1e-9);
         assert!((f.cfm() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lfm_round_trip() {
-        let v = MetersPerSecond::from_lfm(200.0);
-        assert!((v.value() - 1.016).abs() < 1e-9);
-        assert!((v.lfm() - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mass_flow_uses_air_density() {
-        let f = CubicMetersPerSecond::new(0.1);
-        assert!((f.mass_flow().value() - 0.1 * AIR_DENSITY_KG_M3).abs() < 1e-12);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use energy::{
     Joules, JoulesPerGram, JoulesPerGramKelvin, JoulesPerKelvin, KiloWatts, KilowattHours,
     MegaWatts, Watts, WattsPerKelvin, WattsPerSquareMeterKelvin,
 };
-pub use flow::{CubicMetersPerSecond, KilogramsPerSecond, MetersPerSecond, Pascals};
+pub use flow::{CubicMetersPerSecond, MetersPerSecond, Pascals};
 pub use fraction::Fraction;
 pub use geometry::{
     CubicMeters, Grams, GramsPerMilliliter, Kilograms, Liters, Meters, SquareMeters,

@@ -44,12 +44,6 @@ impl Celsius {
         self.0
     }
 
-    /// Converts to kelvin.
-    #[inline]
-    pub fn kelvin(self) -> f64 {
-        self.0 + 273.15
-    }
-
     /// Elementwise maximum.
     #[inline]
     pub fn max(self, other: Self) -> Self {
@@ -114,12 +108,6 @@ impl core::fmt::Display for Celsius {
 mod tests {
     use super::*;
     use tts_rng::prop::prelude::*;
-
-    #[test]
-    fn kelvin_conversion() {
-        assert!((Celsius::new(0.0).kelvin() - 273.15).abs() < 1e-12);
-        assert!((Celsius::new(36.6).kelvin() - 309.75).abs() < 1e-12);
-    }
 
     #[test]
     fn delta_arithmetic_round_trips() {

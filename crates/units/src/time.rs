@@ -16,9 +16,6 @@ quantity!(
 );
 
 impl Seconds {
-    /// One hour.
-    pub const HOUR: Seconds = Seconds::new(3600.0);
-
     /// One 24-hour day.
     pub const DAY: Seconds = Seconds::new(86_400.0);
 
@@ -62,7 +59,6 @@ mod tests {
 
     #[test]
     fn constants() {
-        assert_eq!(Seconds::HOUR.value(), 3600.0);
         assert_eq!(Seconds::DAY.value(), 86_400.0);
         assert_eq!(Seconds::from_minutes(5.0).value(), 300.0);
     }

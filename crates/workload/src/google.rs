@@ -13,9 +13,6 @@ use crate::series::TimeSeries;
 use tts_rng::{Rng, SeedableRng, Xoshiro256pp};
 use tts_units::Seconds;
 
-/// Cluster size the paper normalizes for.
-pub const CLUSTER_SERVERS: usize = 1008;
-
 /// Configuration of the synthetic trace generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoogleTraceConfig {
@@ -234,11 +231,9 @@ mod tests {
     #[test]
     fn components_sum_to_total() {
         let t = GoogleTrace::default_two_day();
-        let sum = t
-            .component(JobType::WebSearch)
-            .zip_add(t.component(JobType::SocialNetworking))
-            .zip_add(t.component(JobType::MapReduce));
-        for (s, tot) in sum.values().iter().zip(t.total().values()) {
+        let parts = JobType::ALL.map(|j| t.component(j).values());
+        for (i, tot) in t.total().values().iter().enumerate() {
+            let s: f64 = parts.iter().map(|p| p[i]).sum();
             assert!((s - tot).abs() < 1e-6, "components must sum to total");
         }
     }

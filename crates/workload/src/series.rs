@@ -101,24 +101,6 @@ impl TimeSeries {
         }
     }
 
-    /// Elementwise sum of two series.
-    ///
-    /// # Panics
-    /// Panics if spacings or lengths differ.
-    pub fn zip_add(&self, other: &Self) -> Self {
-        assert_eq!(self.dt, other.dt, "sample spacing mismatch");
-        assert_eq!(self.values.len(), other.values.len(), "length mismatch");
-        Self {
-            dt: self.dt,
-            values: self
-                .values
-                .iter()
-                .zip(&other.values)
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
-    }
-
     /// `(time, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (Seconds, f64)> + '_ {
         let dt = self.dt.value();
@@ -184,26 +166,15 @@ mod tests {
     }
 
     #[test]
-    fn map_and_zip_add() {
-        let s = ramp();
-        let doubled = s.map(|v| v * 2.0);
+    fn map_applies_per_sample() {
+        let doubled = ramp().map(|v| v * 2.0);
         assert_eq!(doubled.values(), &[0.0, 2.0, 4.0, 6.0]);
-        let sum = s.zip_add(&doubled);
-        assert_eq!(sum.values(), &[0.0, 3.0, 6.0, 9.0]);
     }
 
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn empty_series_panics() {
         TimeSeries::new(Seconds::new(1.0), vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "spacing mismatch")]
-    fn zip_add_rejects_different_spacings() {
-        let a = TimeSeries::new(Seconds::new(1.0), vec![1.0]);
-        let b = TimeSeries::new(Seconds::new(2.0), vec![1.0]);
-        a.zip_add(&b);
     }
 
     proptest! {

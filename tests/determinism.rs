@@ -128,7 +128,7 @@ fn sidecar_bytes(name: &str, threads: usize) -> String {
     with_threads(threads, || {
         let exp = thermal_time_shifting::experiment::find(name).expect("registered experiment");
         let ctx = thermal_time_shifting::ExecCtx::with_metrics();
-        let _fig = exp.run(&ctx);
+        let _fig = exp.run(&ctx, &thermal_time_shifting::params::Params::default());
         ctx.sidecar(None, None)
             .expect("metrics enabled")
             .to_string_pretty()
