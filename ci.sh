@@ -20,6 +20,10 @@ echo "==> perfbench builds against the current library API"
 # not cover it; a library change that breaks its calls fails here.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench self-test (registry outputs equal results/*.summary.json at seed 42)"
+# Reuses the release build above.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 

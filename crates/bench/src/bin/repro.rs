@@ -18,6 +18,11 @@
 //! (exit 2). `all` takes only `--threads`, so the record it writes is
 //! always the default-sized suite.
 //!
+//! Stdout is the record itself: each experiment's `EXPERIMENTS.md`
+//! section, then the paper-vs-measured summary — for `all`, exactly the
+//! `EXPERIMENTS.md` body between the endpoint tables and the regeneration
+//! time line.
+//!
 //! `--threads N` pins the `tts_exec` worker count for every sweep in the
 //! run (overriding `TTS_THREADS` and the machine default). Results are
 //! byte-identical at any thread count — see the determinism tests.
@@ -48,7 +53,7 @@ use std::time::Instant;
 use thermal_time_shifting::experiment::{self, ExecCtx, Experiment, Params};
 use thermal_time_shifting::experiments::Comparison;
 use thermal_time_shifting::params;
-use tts_bench::{comparison_row, format_quantity, text_table};
+use thermal_time_shifting::report::comparison_row;
 use tts_units::json::{self, Json};
 
 fn main() {
@@ -78,13 +83,12 @@ fn main() {
 
     let started = Instant::now();
     let mut comparisons = Vec::new();
-    let mut sections = String::new();
+    let mut body = String::new();
     for exp in &cli.experiments {
         let fig = exp
             .run_with(&ctx, &cli.params)
             .expect("params were parsed against this experiment's schema");
-        println!("=== {} ===", fig.title);
-        println!("{}", fig.text);
+        print!("{}", fig.markdown);
         if cli.write {
             for (path, doc) in &fig.artifacts {
                 write_file(path, &doc.to_string_pretty());
@@ -94,32 +98,16 @@ fn main() {
                 &exp.emit_json(&fig).to_string_pretty(),
             );
         }
-        sections.push_str(&fig.markdown);
+        body.push_str(&fig.markdown);
         comparisons.extend(fig.comparisons);
     }
+    let summary = summary_md(&comparisons);
+    print!("{summary}");
+    body.push_str(&summary);
 
-    if !comparisons.is_empty() {
-        let rows: Vec<Vec<String>> = comparisons
-            .iter()
-            .map(|(label, c)| {
-                vec![
-                    label.clone(),
-                    c.metric.clone(),
-                    format_quantity(c.paper, &c.unit),
-                    format_quantity(c.measured, &c.unit),
-                    format!("{:+.0}%", c.relative_error() * 100.0),
-                ]
-            })
-            .collect();
-        let summary = text_table(
-            &["experiment", "metric", "paper", "measured", "deviation"],
-            &rows,
-        );
-        println!("\n=== paper vs. measured summary ===\n{summary}");
-    }
     // Only the whole default-sized suite is a complete record.
     if cli.write && cli.all {
-        let md = experiments_md(&sections, &comparisons, started);
+        let md = experiments_md(&body, started);
         write_file("EXPERIMENTS.md", &md);
         println!("wrote EXPERIMENTS.md");
     }
@@ -169,9 +157,13 @@ impl Cli {
                     _ => return Err("--metrics requires an output path".into()),
                 },
                 "--wall-unix" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                    Some(s) => wall_unix = Some(s),
-                    None => {
-                        return Err("--wall-unix requires a number (seconds since the epoch)".into())
+                    // JSON has no spelling for NaN or ±inf, so the sidecar
+                    // could not carry one.
+                    Some(s) if s.is_finite() => wall_unix = Some(s),
+                    _ => {
+                        return Err(
+                            "--wall-unix requires a finite number (seconds since the epoch)".into(),
+                        )
                     }
                 },
                 flag if flag.starts_with("--") => {
@@ -229,14 +221,23 @@ fn write_file(path: &str, text: &str) {
     std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
-/// The `EXPERIMENTS.md` record: preamble, serving endpoints, every
-/// experiment's section in suite order, and the paper-vs-measured
-/// summary.
-fn experiments_md(
-    sections: &str,
-    comparisons: &[(String, Comparison)],
-    started: Instant,
-) -> String {
+/// The paper-vs-measured `## Summary` section; empty when the run made
+/// no comparison.
+fn summary_md(comparisons: &[(String, Comparison)]) -> String {
+    let mut md = String::new();
+    if !comparisons.is_empty() {
+        md.push_str("\n## Summary\n\n| experiment | metric | paper | measured | deviation |\n|---|---|---|---|---|\n");
+        for (label, c) in comparisons {
+            let _ = writeln!(md, "| {label} {}", comparison_row(c));
+        }
+    }
+    md
+}
+
+/// The `EXPERIMENTS.md` record: preamble, serving endpoints, the `body`
+/// `repro` printed (every section in suite order, then the summary), and
+/// the regeneration time.
+fn experiments_md(body: &str, started: Instant) -> String {
     let mut md = String::from(
         "# EXPERIMENTS — paper vs. measured\n\n\
          Generated by `cargo run --release -p tts-bench --bin repro -- all --write`.\n\n\
@@ -247,13 +248,7 @@ fn experiments_md(
          the substitutions.\n\n",
     );
     md.push_str(&serving_endpoints_md());
-    md.push_str(sections);
-    if !comparisons.is_empty() {
-        md.push_str("\n## Summary\n\n| experiment | metric | paper | measured | deviation |\n|---|---|---|---|---|\n");
-        for (label, c) in comparisons {
-            let _ = writeln!(md, "| {label} {}", comparison_row(c));
-        }
-    }
+    md.push_str(body);
     let _ = writeln!(
         md,
         "\n*Total regeneration time: {:.1} s.*",

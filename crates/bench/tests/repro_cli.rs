@@ -1,6 +1,7 @@
 //! The `repro` command line against the experiment registry: flags are the
-//! experiment's params, validated by its schema, and a run files exactly
-//! the bytes the registry (and so `ttsd`) produces.
+//! experiment's params, validated by its schema, a run files exactly the
+//! bytes the registry (and so `ttsd`) produces, and it prints the record
+//! it files.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -64,20 +65,57 @@ fn seed_flag_reaches_the_experiment() {
 }
 
 #[test]
+fn stdout_is_the_section_filed_in_experiments_md() {
+    let committed = include_str!("../../../EXPERIMENTS.md");
+    for (name, heading) in [
+        ("table1", "## Table 1 — PCM comparison\n"),
+        ("fig1", "## Figure 1 — concept\n"),
+    ] {
+        let start = committed.find(heading).expect("section in EXPERIMENTS.md");
+        let len = committed[start + 3..]
+            .find("\n## ")
+            .map_or(committed.len() - start, |i| i + 4);
+        let section = &committed[start..start + len];
+        let out = repro(&scratch_dir(&format!("{name}-stdout")), &[name]);
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.contains(section), "{name}:\n{stdout}");
+    }
+}
+
+#[test]
 fn usage_errors_exit_2_with_the_schema_message() {
-    for (args, body) in [
-        (&["fig7", "--servers", "5"][..], r#"{"servers": 5}"#),
+    let wall_unix = "--wall-unix requires a finite number";
+    for (args, expected) in [
+        (
+            &["fig7", "--servers", "5"][..],
+            schema_error("fig7", r#"{"servers": 5}"#),
+        ),
         (
             &["fig11", "--melt-temp-c", "200"][..],
-            r#"{"melt_temp_c": 200}"#,
+            schema_error("fig11", r#"{"melt_temp_c": 200}"#),
         ),
-        (&["all", "--servers", "8"][..], r#"{"servers": 8}"#),
+        (
+            &["all", "--servers", "8"][..],
+            schema_error("all", r#"{"servers": 8}"#),
+        ),
+        (
+            &["fig1", "--metrics", "m.json", "--wall-unix", "nan"][..],
+            wall_unix.into(),
+        ),
+        (
+            &["fig1", "--metrics", "m.json", "--wall-unix", "inf"][..],
+            wall_unix.into(),
+        ),
+        (
+            &["fig1", "--metrics", "m.json", "--wall-unix", "1e400"][..],
+            wall_unix.into(),
+        ),
     ] {
         let dir = scratch_dir(&args.join("_"));
         let out = repro(&dir, args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        let expected = schema_error(args[0], body);
         assert!(stderr.contains(&expected), "{args:?}: {stderr}");
         assert_eq!(
             std::fs::read_dir(&dir).unwrap().count(),

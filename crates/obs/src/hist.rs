@@ -23,11 +23,12 @@ pub fn bucket_index(edges: &[f64], v: f64) -> usize {
 /// interpolates linearly inside it, which carries a documented
 /// **bucket-edge bias**: observations are assumed uniform within a bucket,
 /// so a quantile landing in bucket `(lo, hi]` can be off by up to the
-/// bucket width (with power-of-two latency edges, up to 2× in value). For
-/// the unbounded end buckets the finite edge is reported unless `min` /
-/// `max` supply a real bound to interpolate against. Exact invariants:
-/// the estimate always lies within the chosen bucket's closure, `q = 1`
-/// reports the top nonempty bucket's upper bound (or observed `max`), and
+/// bucket width (with power-of-two latency edges, up to 2× in value). The
+/// bucket is first clamped to the observed `min`/`max` when they are
+/// supplied; an unbounded end bucket with no observed bound collapses to
+/// its finite edge. Exact invariants: the estimate always lies within the
+/// chosen bucket's closure and, given `min`/`max`, within `[min, max]`;
+/// `q = 1` reports the top nonempty bucket's (clamped) upper bound; and
 /// the estimator is monotone in `q`.
 ///
 /// Returns `None` on an empty histogram, a NaN or out-of-range `q`, or a
@@ -55,18 +56,20 @@ pub fn quantile_from_counts(
             below += c;
             continue;
         }
-        // Bucket i holds the ranked observation. Bounds: bucket 0 is
-        // (-inf, e0] and the overflow bucket (e_last, +inf); use the
-        // observed min/max when they genuinely tighten those ends.
+        // Bucket i, (edge[i-1], edge[i]] with infinite ends, holds the
+        // ranked observation; no observation lies outside [min, max].
         let lo = if i == 0 {
-            min.filter(|&m| m <= edges[0]).unwrap_or(edges[0])
+            f64::NEG_INFINITY
         } else {
             edges[i - 1]
         };
-        let hi = if i == edges.len() {
-            max.filter(|&m| m >= edges[i - 1]).unwrap_or(edges[i - 1])
-        } else {
-            edges[i]
+        let hi = edges.get(i).copied().unwrap_or(f64::INFINITY);
+        let lo = min.map_or(lo, |m| lo.max(m));
+        let hi = max.map_or(hi, |m| hi.min(m));
+        let (lo, hi) = match (lo.is_finite(), hi.is_finite()) {
+            (false, _) => (hi, hi),
+            (_, false) => (lo, lo),
+            _ => (lo, hi),
         };
         let frac = (rank - below) as f64 / c as f64;
         return Some(lo + (hi - lo) * frac);
@@ -282,6 +285,29 @@ mod tests {
         let counts = [10, 0, 0, 0, 0];
         let lo = quantile_from_counts(&EDGES, &counts, Some(0.0), None, 0.1).unwrap();
         assert!((0.0..=1.0).contains(&lo), "{lo}");
+    }
+
+    #[test]
+    fn every_quantile_lies_within_the_observed_range() {
+        for values in [
+            &[2.5, 2.6, 2.7, 2.8, 2.9, 3.0, 3.0, 2.55, 2.65, 2.75][..],
+            &[0.2, 0.3, 1.5, 3.0, 7.0, 9.0, 12.0][..],
+            &[5.0][..],
+        ] {
+            let core = HistCore::new(&EDGES);
+            for &v in values {
+                core.record(v);
+            }
+            let (min, max) = values
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                    (lo.min(v), hi.max(v))
+                });
+            for i in 0..=100 {
+                let v = core.quantile(i as f64 / 100.0).unwrap();
+                assert!((min..=max).contains(&v), "{values:?} q={i}%: {v}");
+            }
+        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Each paper artifact the repro harness regenerates is an [`Experiment`]:
 //! a named unit that runs against an [`ExecCtx`] (metrics sink + flush
-//! buffer) and returns a [`Figure`] — the rendered console text, the
-//! `EXPERIMENTS.md` section, the paper-vs-measured comparisons, the JSON
-//! artifacts to write, and the headline scalars downstream analyses (TCO)
-//! consume. The harness dispatches by name via [`find`] and no longer owns
-//! per-figure rendering code.
+//! buffer) and returns a [`Figure`] — its one rendering, the
+//! `EXPERIMENTS.md` section, plus the paper-vs-measured comparisons, the
+//! JSON artifacts to write, and the headline scalars downstream analyses
+//! (TCO) consume. The harness dispatches by name via [`find`] and no
+//! longer owns per-figure rendering code.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -21,7 +21,7 @@ use tts_workload::{GoogleTrace, JobStream, JobType};
 
 use crate::chart::ascii_chart;
 use crate::experiments::{self, Comparison};
-use crate::report::{comparison_row, format_quantity, text_table};
+use crate::report::{comparison_row, text_table};
 
 /// A cooperative cancellation token: cheap to clone, safe to poll from
 /// any thread. The holder of one half (e.g. a job store answering
@@ -194,11 +194,10 @@ pub use crate::params::{ParamKind, ParamSpec, Params};
 pub struct Figure {
     /// The experiment's dispatch name (e.g. `fig11`).
     pub name: String,
-    /// Human title, printed as the console section header.
+    /// Human title.
     pub title: String,
-    /// Rendered console output (charts, tables).
-    pub text: String,
-    /// The `EXPERIMENTS.md` section body.
+    /// The rendering: the `EXPERIMENTS.md` section, which `repro` also
+    /// prints.
     pub markdown: String,
     /// Paper-vs-measured records, each with its context label
     /// (e.g. `("Fig 11a", …)`).
@@ -216,7 +215,6 @@ impl Figure {
         Self {
             name: name.into(),
             title: title.into(),
-            text: String::new(),
             markdown: String::new(),
             comparisons: Vec::new(),
             artifacts: Vec::new(),
@@ -364,7 +362,6 @@ impl Experiment for Table1Pcms {
             "## Table 1 — PCM comparison\n\nReproduced as a data table (paper values embedded); \
              only the paraffins pass the datacenter screen, as in §2.1.\n\n```text\n{table}```\n\n"
         );
-        fig.text = table;
         fig
     }
 }
@@ -380,7 +377,7 @@ impl Experiment for Fig1Concept {
     }
 
     fn run(&self, _ctx: &ExecCtx, _params: &Params) -> Figure {
-        let (t, no_wax, with_wax) = experiments::concept_figure();
+        let (_, no_wax, with_wax) = experiments::concept_figure();
         let chart = ascii_chart(
             &[("heat output", &no_wax), ("cooling load w/ PCM", &with_wax)],
             72,
@@ -389,10 +386,6 @@ impl Experiment for Fig1Concept {
         let mut fig = Figure::new(
             "fig1",
             "Figure 1: thermal time shifting (concept, from a real run)",
-        );
-        fig.text = format!(
-            "one day, 1U cluster; x = 0..{:.0} h\n{chart}",
-            t.last().unwrap_or(&24.0)
         );
         fig.markdown = format!(
             "## Figure 1 — concept\n\nRendered from a real 1U cluster run (first day): the wax \
@@ -447,11 +440,6 @@ impl Experiment for Fig4Validation {
         let mut fig = Figure::new(
             "fig4",
             "Figure 4: model validation (1 h idle + 12 h load + 12 h idle)",
-        );
-        fig.text = format!(
-            "{chart}\nsteady-state mean difference (model vs real, loaded):  wax {wax:+.2} K, \
-             placebo {placebo:+.2} K\ntransient correlation (wax): r = {corr:.3}\n\n\
-             Figure 4 (c) — steady state while hot:\n{sensors}"
         );
         fig.markdown = format!(
             "## Figure 4 — model validation\n\nOur \"real server\" is a perturbed \
@@ -509,7 +497,6 @@ impl Experiment for Fig7Blockage {
                 ],
                 &table_rows,
             );
-            fig.text.push_str(&format!("--- {class} ---\n{table}"));
             fig.markdown
                 .push_str(&format!("### {class}\n\n```text\n{table}```\n\n"));
             if class == ServerClass::LowPower1U {
@@ -549,14 +536,12 @@ impl Experiment for Fig10Trace {
         let pct: Vec<f64> = total.values().iter().map(|v| v * 100.0).collect();
         let chart = ascii_chart(&[("total load %", &pct)], 72, 12);
         let mut fig = Figure::new("fig10", "Figure 10: two-day datacenter workload trace");
-        fig.text = format!(
-            "{chart}\nmean {:.1} %, peak {:.1} % (paper: normalized to 50 % / 95 %)\n",
-            total.mean() * 100.0,
-            total.peak() * 100.0
-        );
         fig.markdown = format!(
             "## Figure 10 — workload trace\n\nSynthetic two-day Google-like trace (three job \
-             types), normalized to exactly 50 % mean / 95 % peak:\n\n```text\n{chart}```\n\n"
+             types), normalized to exactly 50 % mean / 95 % peak (measured: {:.1} % / \
+             {:.1} %):\n\n```text\n{chart}```\n\n",
+            total.mean() * 100.0,
+            total.peak() * 100.0
         );
         fig
     }
@@ -596,15 +581,6 @@ impl Experiment for Fig11CoolingLoad {
                 72,
                 12,
             );
-            fig.text.push_str(&format!(
-                "--- ({panel}) {class} ---\n{chart}\npeak: {:.0} kW → {:.0} kW; reduction {:.1} % (paper {:.1} %); wax {}; refreeze tail {:.1} h\n\n",
-                r.study.run.peak_no_wax.value(),
-                r.study.run.peak_with_wax.value(),
-                r.peak_reduction.measured,
-                r.peak_reduction.paper,
-                r.study.material.name(),
-                r.study.run.elevated_hours / 2.0,
-            ));
             fig.markdown.push_str(&format!(
                 "### ({panel}) {class}\n\n```text\n{chart}```\n\nPeak {:.0} kW → {:.0} kW: **{:.1} % reduction** (paper: {:.1} %), wax = {}, melt onset at {:.0} % load, refreeze tail ≈ {:.1} h/day (paper: 6–9 h).\n\n",
                 r.study.run.peak_no_wax.value(),
@@ -660,15 +636,6 @@ impl Experiment for Fig12Constrained {
                 72,
                 12,
             );
-            fig.text.push_str(&format!(
-                "--- ({panel}) {class} ---\n{chart}\npeak gain {:.1} % (paper {:.1} %); throttle delayed {:.2} h; boosted {:.1} h/day (paper {:.1} h); wax {}\n\n",
-                r.peak_gain.measured,
-                r.peak_gain.paper,
-                r.study.run.delay_hours,
-                r.boost_hours.measured,
-                r.boost_hours.paper,
-                r.study.material.name(),
-            ));
             fig.markdown.push_str(&format!(
                 "### ({panel}) {class}\n\n```text\n{chart}```\n\nPeak throughput gain **{:.1} %** (paper: {:.1} %); throttle onset delayed {:.2} h; boosted {:.1} h/day (paper: {:.1} h); wax = {}.\n\n",
                 r.peak_gain.measured,
@@ -737,7 +704,6 @@ impl Experiment for Table2Params {
              from server price (price/48 months, price × 0.0055 interest) and reproduce the \
              printed bands.\n\n```text\n{table}```\n\n"
         );
-        fig.text = table;
         fig
     }
 }
@@ -768,11 +734,6 @@ impl Experiment for TcoAnalyses {
                 .expect("fig12 reports a peak gain per class");
             let s =
                 experiments::tco_summary_from(class, Fraction::new(reduction), Fraction::new(gain));
-            fig.text.push_str(&format!(
-                "--- {class} (measured reduction {:.1} %, gain {:.1} %) ---\n",
-                s.peak_reduction_pct,
-                gain * 100.0
-            ));
             fig.markdown.push_str(&format!(
                 "### {class}\n\n| metric | paper | measured | deviation |\n|---|---|---|---|\n"
             ));
@@ -782,12 +743,6 @@ impl Experiment for TcoAnalyses {
                 &s.retrofit_savings_per_year,
                 &s.tco_efficiency_pct,
             ] {
-                fig.text.push_str(&format!(
-                    "  {:<34} paper {:>12}  measured {:>12}\n",
-                    c.metric,
-                    format_quantity(c.paper, &c.unit),
-                    format_quantity(c.measured, &c.unit)
-                ));
                 fig.markdown.push_str(&comparison_row(c));
                 fig.markdown.push('\n');
                 fig.comparisons.push((format!("TCO {class}"), c.clone()));
@@ -858,9 +813,6 @@ impl Experiment for DcsimQos {
                 ],
             ],
         );
-        fig.text.push_str(&format!(
-            "{servers} servers, round-robin, MapReduce jobs following the Figure 10 trace\n{table}"
-        ));
         fig.markdown.push_str(&format!(
             "## Discrete simulation — job-level QoS\n\n{servers} servers behind a round-robin \
              balancer serve two days of MapReduce-class jobs offered along the Figure 10 \
@@ -925,16 +877,6 @@ impl Experiment for ChaosBatch {
             rows.push(vec![format!("faults: {kind}"), format!("{count}")]);
         }
         let table = text_table(&["metric", "value"], &rows);
-        fig.text.push_str(&format!(
-            "base seed {:#x}, {} scenarios across cluster/thermal/cooling/workload phases\n{table}",
-            summary.base_seed, summary.scenarios
-        ));
-        if !summary.all_green() {
-            fig.text.push_str("replay failing seeds with:\n");
-            for line in summary.replay_lines() {
-                fig.text.push_str(&format!("  {line}\n"));
-            }
-        }
         fig.markdown.push_str(&format!(
             "## Chaos batch — seeded fault injection\n\n{} scenarios sampled from base seed \
              {:#x}; every scenario injects a typed fault plan into the cluster, thermal, \
@@ -1055,23 +997,16 @@ impl Experiment for FleetScale {
             ],
             &rows,
         );
-        fig.text.push_str(&format!(
-            "{} servers in {} sites, {} shards, {} epochs of 60 s; \
-             mean delay {:.2} s, {} fault events, ledger residue {:.3e} core-s\n{table}",
-            m.servers,
-            sites,
-            sim.shard_count(),
-            m.epochs,
-            m.mean_delay_s,
-            m.fault_events,
-            m.conservation_error_core_s,
-        ));
         fig.markdown.push_str(&format!(
             "## Fleet scale — epoch-sharded engine\n\n{} servers across {} sites stepped in \
-             {} epochs by the struct-of-arrays fleet engine; the deferrable quarter of each \
-             site's diurnal demand chases cheap cooling headroom across timezones. Byte-identical \
-             at any `TTS_THREADS` and any shard count.\n\n```text\n{table}```\n\n",
-            m.servers, sites, m.epochs
+             {} epochs over {} shards by the struct-of-arrays fleet engine; the deferrable \
+             quarter of each site's diurnal demand chases cheap cooling headroom across \
+             timezones. Byte-identical at any `TTS_THREADS` and any shard count.\n\n\
+             ```text\n{table}```\n\n",
+            m.servers,
+            sites,
+            m.epochs,
+            sim.shard_count()
         ));
         fig.key_values = vec![
             ("servers".into(), m.servers as f64),
@@ -1158,34 +1093,26 @@ impl Experiment for ScheduleOpt {
                 ],
             ],
         );
-        fig.text.push_str(&format!(
-            "{} servers, {} slots of {:.0} min, {} delay classes; {} plans ({} fallbacks), \
-             {} simplex iterations\n{chart}\n{table}savings ${:.2} ({:.2} %); \
-             {:.1} kWh deferred; {} deadline misses; conservation residue {:.3e} kWh\n",
-            cfg.servers,
-            out.slots,
-            cfg.slot_min,
-            cfg.tranches,
-            out.plans,
-            out.fallback_plans,
-            out.simplex_iterations,
-            out.savings_usd,
-            out.savings_frac * 100.0,
-            out.deferred_energy_kwh,
-            out.deadline_misses,
-            out.conservation_error_kwh,
-        ));
+        // The controller runs the first `tranches` classes (at least one).
+        let classes: Vec<String> = tts_opt::model::DELAY_CLASSES_MIN
+            .iter()
+            .take(cfg.tranches.max(1))
+            .map(|m| format!("{m:.0}"))
+            .collect();
         fig.markdown.push_str(&format!(
             "## Schedule — receding-horizon co-optimizer\n\nEvery hour a bounded-variable \
-             simplex re-plans the next {:.0} h + {:.0} h: which deferrable tranches \
-             (30/60/120/180-min classes, a quarter of offered load) run now vs. later, and \
-             how hard to charge or discharge the wax, minimizing the time-of-use energy \
-             bill subject to job-conservation, state-of-charge, cooling-capacity, and \
-             deadline constraints. The baseline is the paper's passive configuration on the \
-             identical trace.\n\n```text\n{chart}```\n\n```text\n{table}```\n\nSavings \
+             simplex re-plans the next {:.0} h + {:.0} h for {} servers in {:.0}-min slots: \
+             which deferrable tranches ({}-min classes, a quarter of offered load) run now \
+             vs. later, and how hard to charge or discharge the wax, minimizing the \
+             time-of-use energy bill subject to job-conservation, state-of-charge, \
+             cooling-capacity, and deadline constraints. The baseline is the paper's passive \
+             configuration on the identical trace.\n\n```text\n{chart}```\n\n```text\n{table}```\n\nSavings \
              **${:.2}** ({:.2} %), {:.1} kWh executed off-schedule, {} deadline misses.\n\n",
             cfg.horizon_h,
             cfg.extension_h,
+            cfg.servers,
+            cfg.slot_min,
+            classes.join("/"),
             out.savings_usd,
             out.savings_frac * 100.0,
             out.deferred_energy_kwh,
@@ -1313,22 +1240,6 @@ impl Experiment for DesignSearch {
                 ],
             ],
         );
-        fig.text.push_str(&format!(
-            "paper space ({class}, {servers} servers, seed {seed}, budget {budget}):\n{table}\
-             optimum match: {} ({} generations, {} surrogate fits)\n\
-             joint space (class × melt × mass × tariff phase × ambient): \
-             ${:.2} at {} / {:.1} °C / {:.2}× mass / {:+.0} h / {:+.1} °C in {} evals\n",
-            if matches { "EXACT" } else { "MISMATCH" },
-            d.generations,
-            d.surrogate_fits,
-            jb.cost_usd,
-            jb.class,
-            jb.melt_c,
-            jb.mass_mult,
-            jb.tariff_phase_h,
-            jb.ambient_off_c,
-            j.evals,
-        ));
         fig.markdown.push_str(&format!(
             "## Design — surrogate-driven search\n\nThe `tts-design` optimizer (LHS seeding, \
              (μ/μ_w, λ)-CMA-ES, RBF-surrogate expected-improvement screening, lattice polish) \
@@ -1507,26 +1418,16 @@ impl Experiment for Scenarios {
             ],
             &rows,
         );
-        fig.text.push_str(&format!(
-            "{} cells ({} sites × {} backends × {} traces), weather seed {}; \
-             hot-water reuse wins on {} cells\n{table}",
-            matrix.cells.len(),
-            cfg.sites.min(tts_cooling::Site::ALL.len()),
-            cfg.backends.min(crate::scenarios::BACKENDS.len()),
-            cfg.traces.min(crate::scenarios::TRACES.len()),
-            cfg.seed,
-            matrix.hotwater_reuse_win_cells,
-        ));
         fig.markdown.push_str(&format!(
             "## Scenario matrix — backend × site × trace\n\nEach cell re-runs the Figure 11 \
              cooling-load study on its demand trace (wax melting point re-optimized per \
              trace), then bills the with-wax and no-wax load series through its cooling \
              backend — the paper's fixed-COP chiller, an airside economizer whose COP \
-             follows the site's seeded weather year, or an iDataCool-style hot-water loop \
-             whose 60 °C outlet earns an energy-reuse credit — under the paper's \
-             time-of-use tariff.\n\n```text\n{table}```\n\nHot-water energy reuse strictly \
+             follows the site's seeded weather year (seed {}), or an iDataCool-style \
+             hot-water loop whose 60 °C outlet earns an energy-reuse credit — under the \
+             paper's time-of-use tariff.\n\n```text\n{table}```\n\nHot-water energy reuse strictly \
              lowers the bill on **{}** of the matrix's hot-water cells.\n\n",
-            matrix.hotwater_reuse_win_cells,
+            cfg.seed, matrix.hotwater_reuse_win_cells,
         ));
         fig.key_values = vec![
             ("cells".into(), matrix.cells.len() as f64),
@@ -1571,10 +1472,6 @@ impl Experiment for ExtensionStudies {
             opex.with_pcm_per_year.value(),
             opex.saving.percent(),
         );
-        fig.text.push_str(&format!(
-            "cooling electricity (tariff + economizer): ${before:.0}/yr -> ${after:.0}/yr with PCM \
-             ({saved:.2} % saved)\n"
-        ));
         fig.markdown.push_str(&format!(
             "* **Cooling electricity** (tariff + temperate-climate economizer, 1U cluster): \
              ${before:.0}/yr → ${after:.0}/yr with PCM ({saved:.2} % saved by shifting cooling \
@@ -1586,22 +1483,15 @@ impl Experiment for ExtensionStudies {
             reloc.without_pcm_per_year.value(),
             reloc.with_pcm_per_year.value(),
         );
-        fig.text.push_str(&format!(
-            "relocation bill: ${before:.0}/yr -> ${after:.0}/yr with PCM per cluster\n"
-        ));
         fig.markdown.push_str(&format!(
             "* **Job relocation vs. wax** (§5.2's other lever, $0.12/server-hour WAN+SLA): \
              ${before:.0}/yr → ${after:.0}/yr per oversubscribed cluster.\n"
         ));
 
-        fig.text.push_str("partial deployment curve:\n");
         fig.markdown
             .push_str("* **Rack-by-rack deployment** (fraction equipped → peak reduction):\n");
         for p in partial_deployment_study(class, 5) {
             let (equipped, reduction) = (p.equipped.percent(), p.peak_reduction.percent());
-            fig.text.push_str(&format!(
-                "  {equipped:>4.0} % equipped -> {reduction:>5.2} % reduction\n"
-            ));
             fig.markdown.push_str(&format!(
                 "  * {equipped:.0} % equipped → {reduction:.2} % peak reduction\n"
             ));
@@ -1612,9 +1502,6 @@ impl Experiment for ExtensionStudies {
             crowd.calm_reduction.percent(),
             crowd.surge_reduction.percent(),
         );
-        fig.text.push_str(&format!(
-            "flash crowd (+20 % for 1 h at peak): calm {calm:.2} % vs surge {surge:.2} % reduction\n"
-        ));
         fig.markdown.push_str(&format!(
             "* **Flash crowd** (+20 % for 1 h on the daily peak): peak reduction {calm:.2} % calm \
              → {surge:.2} % with the surge (re-optimized wax still absorbs most of it).\n"
@@ -1625,10 +1512,6 @@ impl Experiment for ExtensionStudies {
             life.capacity_after_server_life.percent(),
             life.capacity_after_plant_life.percent(),
         );
-        fig.text.push_str(&format!(
-            "wax endurance: {server_life:.1} % capacity after 4 y, {plant_life:.1} % after 10 y \
-             of daily cycles\n"
-        ));
         fig.markdown.push_str(&format!(
             "* **Cycling endurance** (Table 1 stability made quantitative): the selected \
              commercial paraffin keeps {server_life:.1} % of its latent capacity after the \
@@ -1767,7 +1650,7 @@ mod tests {
                 },
             )
             .expect("supported params");
-        assert!(fig.text.contains("96 servers"));
+        assert!(fig.markdown.contains("96 servers"));
         assert!(fig.key_value("plans").expect("plans") > 0.0);
         assert_eq!(fig.key_value("deadline_misses"), Some(0.0));
         assert!(fig.key_value("savings_usd").expect("savings") > 0.0);
@@ -1828,9 +1711,9 @@ mod tests {
             .expect("supported params");
         let default = DcsimQos.run_with(&ctx, &Params::default()).unwrap();
         // A quarter of the cluster completes measurably less of the offered
-        // load than the full one (the text tables render the sizes too).
-        assert!(small.text.contains("8 servers"));
-        assert!(default.text.contains("32 servers"));
+        // load than the full one (the markdown renders the sizes too).
+        assert!(small.markdown.contains("8 servers"));
+        assert!(default.markdown.contains("32 servers"));
         assert!(small.key_value("completed").unwrap() < default.key_value("completed").unwrap());
     }
 
@@ -1855,7 +1738,7 @@ mod tests {
         assert_eq!(fig.key_value("server_steps"), Some(120_000.0));
         let util = fig.key_value("mean_utilization").expect("util");
         assert!((0.0..=1.0).contains(&util), "{util}");
-        assert!(fig.text.contains("us-east") && fig.text.contains("eu-north"));
+        assert!(fig.markdown.contains("us-east") && fig.markdown.contains("eu-north"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Plain-text rendering helpers shared by the repro harness and the
-//! [`experiment`](crate::experiment) implementations: fixed-width tables
-//! and paper-vs-measured rows.
+//! Rendering helpers for the [`experiment`](crate::experiment)
+//! implementations' markdown: fixed-width tables, and the
+//! paper-vs-measured rows that the repro harness's summary also uses.
 
 use crate::experiments::Comparison;
 
@@ -16,7 +16,7 @@ pub fn comparison_row(c: &Comparison) -> String {
 }
 
 /// Human-formats a value with its unit (k/M prefixes for dollars).
-pub fn format_quantity(v: f64, unit: &str) -> String {
+fn format_quantity(v: f64, unit: &str) -> String {
     if unit == "$/yr" {
         if v.abs() >= 1e6 {
             return format!("${:.2}M/yr", v / 1e6);
@@ -30,7 +30,7 @@ pub fn format_quantity(v: f64, unit: &str) -> String {
 }
 
 /// Renders a fixed-width text table.
-pub fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
